@@ -37,7 +37,7 @@ from dynetid.pseudotree import (
     reduce,
 )
 from dynetid.allocation import AllocationResult, allocate
-from dynetid.dual import DualModelSet, measurement_bounds, select_measurements
+from dynetid.dual import measurement_bounds, select_measurements
 from dynetid.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -55,7 +55,6 @@ __all__ = [
     "CharMatrix",
     "Covering",
     "DiGraph",
-    "DualModelSet",
     "EntryStatus",
     "ExtendedGraph",
     "IdentReport",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from dynetid.graph import max_vertex_disjoint_paths
 from dynetid.identifiability import check_with_excitations
-from dynetid.model import ExtendedGraph, ModelSet, build_extended_graph, extended_in_neighbors
+from dynetid.model import ExtendedGraph, extended_in_neighbors
 from dynetid.pseudotree import Covering, Pseudotree, algorithm1_merge
 
 
@@ -99,22 +99,14 @@ def prune(
     )
 
 
-def allocate(m: ModelSet) -> AllocationResult:
-    """Full allocation pipeline for a validated model.
+def allocate(eg: ExtendedGraph) -> AllocationResult:
+    """Full allocation pipeline on a model's extended graph.
 
     The model's own excitation pattern is ignored: this designs one from
     scratch. When the covering-based selection cannot be verified, the
     result escalates, first to every internal root in the covering, then to
     all internal vertices, and reports whatever first passes.
     """
-    eg = build_extended_graph(m)
-    if not eg.parameterized_edges:
-        empty = Covering(trees=(), host=eg.graph, target_edges=frozenset())
-        verified = check_with_excitations(eg, frozenset()).identifiable
-        return AllocationResult(
-            excited=(), covering_used=empty, pruned=(), verified=verified
-        )
-
     covering, _ = algorithm1_merge(eg)
     pi_s, _ = noise_rooted_filter(covering, eg)
     r0 = select_roots(pi_s)

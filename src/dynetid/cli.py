@@ -18,10 +18,17 @@ import sys
 from typing import Any, Sequence
 
 from dynetid.allocation import allocate
-from dynetid.dual import DualModelSet, InvalidDualModelError, select_measurements, measurement_bounds
+from dynetid.dual import InvalidDualModelError, select_measurements, measurement_bounds
 from dynetid.graph import max_vertex_disjoint_paths
 from dynetid.identifiability import check_generic_identifiability, excitation_bounds
-from dynetid.model import ExtendedGraph, ModelSet, build_extended_graph, extended_in_neighbors, validate
+from dynetid.model import (
+    ExtendedGraph,
+    InvalidModelError,
+    ModelSet,
+    build_extended_graph,
+    extended_in_neighbors,
+    validate,
+)
 from dynetid.modelfile import ModelFileError, input_digest, parse_model
 from dynetid.oracle import (
     BudgetExceeded,
@@ -80,7 +87,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 def _load(args: argparse.Namespace) -> tuple[ModelSet, str]:
     with open(args.model, "rb") as fh:
         data = fh.read()
-    return parse_model(data.decode("utf-8")), input_digest(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"not valid UTF-8: {exc}") from exc
+    return parse_model(text), input_digest(data)
 
 
 def _invalid_report(command: str, digest: str, violations: Sequence[str]) -> dict:
@@ -143,21 +154,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _gate(command: str, args: argparse.Namespace) -> tuple[ModelSet, str] | int:
+def _gate(
+    command: str, args: argparse.Namespace
+) -> tuple[ModelSet, ExtendedGraph, str] | int:
+    """Load and validate the model once; an invalid one ends in its report."""
     m, digest = _load(args)
-    report = validate(m)
-    if not report.ok:
-        _emit(_invalid_report(command, digest, report.violations), args)
+    try:
+        eg = build_extended_graph(m)
+    except InvalidModelError as exc:
+        _emit(_invalid_report(command, digest, exc.violations), args)
         return EXIT_INVALID
-    return m, digest
+    return m, eg, digest
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     gated = _gate("check", args)
     if isinstance(gated, int):
         return gated
-    m, digest = gated
-    rep = check_generic_identifiability(build_extended_graph(m))
+    _, eg, digest = gated
+    rep = check_generic_identifiability(eg)
     _emit(
         {
             "command": "check",
@@ -191,12 +206,8 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     gated = _gate("cover", args)
     if isinstance(gated, int):
         return gated
-    m, digest = gated
-    eg = build_extended_graph(m)
-    if eg.parameterized_edges:
-        covering, trace = algorithm1_merge(eg)
-    else:
-        covering, trace = Covering(trees=(), host=eg.graph, target_edges=frozenset()), []
+    _, eg, digest = gated
+    covering, trace = algorithm1_merge(eg)
     _emit(
         {
             "command": "cover",
@@ -219,9 +230,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     gated = _gate("allocate", args)
     if isinstance(gated, int):
         return gated
-    m, digest = gated
-    eg = build_extended_graph(m)
-    result = allocate(m)
+    _, eg, digest = gated
+    result = allocate(eg)
     lower, upper = excitation_bounds(eg, result.covering_used)
     payload = {
         "excited": list(result.excited),
@@ -240,24 +250,13 @@ def _cmd_allocate_measurements(args: argparse.Namespace) -> int:
     gated = _gate("allocate-measurements", args)
     if isinstance(gated, int):
         return gated
-    m, digest = gated
-    if m.p:
-        _emit(
-            _invalid_report(
-                "allocate-measurements",
-                digest,
-                ["measurement selection requires a noise-free model (p = 0)"],
-            ),
-            args,
-        )
-        return EXIT_INVALID
-    dual = DualModelSet(L=m.L, g_pattern=m.g_pattern)
+    m, _, digest = gated
     try:
-        selection = select_measurements(dual)
+        selection = select_measurements(m)
     except InvalidDualModelError as exc:
-        _emit(_invalid_report("allocate-measurements", digest, str(exc).split("; ")), args)
+        _emit(_invalid_report("allocate-measurements", digest, exc.violations), args)
         return EXIT_INVALID
-    lower, upper = measurement_bounds(dual, selection.reversed_covering)
+    lower, upper = measurement_bounds(m, selection.reversed_covering)
     payload = {
         "measured": list(selection.measured),
         "pruned": list(selection.pruned),
@@ -278,12 +277,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     gated = _gate("bounds", args)
     if isinstance(gated, int):
         return gated
-    m, digest = gated
-    eg = build_extended_graph(m)
-    if eg.parameterized_edges:
-        covering, _ = algorithm1_merge(eg)
-    else:
-        covering = Covering(trees=(), host=eg.graph, target_edges=frozenset())
+    _, eg, digest = gated
+    covering, _ = algorithm1_merge(eg)
     lower, upper = excitation_bounds(eg, covering)
     _emit(
         {
@@ -305,8 +300,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     gated = _gate("oracle-compare", args)
     if isinstance(gated, int):
         return gated
-    m, digest = gated
-    eg = build_extended_graph(m)
+    _, eg, digest = gated
     if args.budget < 1:
         print("error: --budget must be at least 1", file=sys.stderr)
         return EXIT_PARSE
@@ -314,11 +308,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         max_vertices=args.budget, max_edges=max(0, 2 * args.budget - 2)
     )
     try:
-        if eg.parameterized_edges:
-            covering, _ = algorithm1_merge(eg)
-            heuristic_size = len(covering.trees)
-        else:
-            heuristic_size = 0
+        heuristic_size = len(algorithm1_merge(eg)[0].trees)
         kappa, _ = brute_min_covering(eg.graph, eg.parameterized_edges, budget)
         paths = []
         paths_agree = True

@@ -7,75 +7,53 @@ digraphs with all out-degrees at most one, whose roots every other vertex
 reaches by exactly one path. Reversing every edge turns one problem into the
 other, so the implementation simply runs the primal pipeline on the reversed
 graph with zero noise channels and maps the results back.
+
+The input is an ordinary ModelSet. Its excitation pattern is ignored (every
+vertex counts as excited), it must have no noise columns (p = 0), and every
+nonzero module must be parameterized; validate_dual lists what breaks this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from dynetid.graph import DiGraph, Edge, reverse, sources_and_sinks
-from dynetid.model import EntryStatus, ExtendedGraph
+from dynetid.model import EntryStatus, ExtendedGraph, InvalidModelError, ModelSet
 from dynetid.allocation import noise_rooted_filter, prune, select_roots
 from dynetid.pseudotree import Covering, algorithm1_merge
 
 
-class InvalidDualModelError(ValueError):
+class InvalidDualModelError(InvalidModelError):
     """Raised when a model does not fit the measurement-selection setting."""
 
 
-@dataclass(frozen=True)
-class DualModelSet:
-    """Parameterization pattern with all vertices excited and no noise.
+def validate_dual(m: ModelSet) -> tuple[str, ...]:
+    """Violations of the measurement-selection setting; empty means it fits.
 
-    Every nonzero module must be an unknown parameter; known transfers have
-    no place here because the covering and the per-vertex condition both
-    read the full out-neighborhood.
+    A model with noise columns gets the p = 0 violation alone. Otherwise
+    self-loops come first, by vertex, then known modules, by (head, tail):
+    known transfers have no place here because the covering and the
+    per-vertex condition both read the full out-neighborhood.
     """
-
-    L: int
-    g_pattern: tuple[tuple[EntryStatus, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ValueError("a model needs at least one vertex")
-        if len(self.g_pattern) != self.L or any(len(r) != self.L for r in self.g_pattern):
-            raise ValueError(f"g_pattern must be {self.L}x{self.L}")
-
-    @classmethod
-    def from_edges(cls, L: int, edges: Iterable[Edge] = ()) -> DualModelSet:
-        g = [[EntryStatus.ZERO] * L for _ in range(L)]
-        for tail, head in edges:
-            if not (1 <= tail <= L and 1 <= head <= L):
-                raise ValueError(f"edge ({tail}, {head}) outside 1..{L}")
-            g[head - 1][tail - 1] = EntryStatus.PARAMETERIZED
-        return cls(L=L, g_pattern=tuple(tuple(r) for r in g))
-
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(
-            (l + 1, j + 1)
-            for j in range(self.L)
-            for l in range(self.L)
-            if self.g_pattern[j][l] is not EntryStatus.ZERO
+    if m.p:
+        return ("measurement selection requires a noise-free model (p = 0)",)
+    violations = [f"self-loop module at vertex {t}" for t, h in sorted(m.modules) if t == h]
+    for head, tail in sorted((h, t) for (t, h), s in m.modules.items() if s is EntryStatus.KNOWN):
+        violations.append(
+            f"module ({tail}, {head}) is known; measurement selection"
+            " expects every nonzero module to be parameterized"
         )
-
-    def graph(self) -> DiGraph:
-        return DiGraph(frozenset(range(1, self.L + 1)), self.edges())
-
-
-def validate_dual(m: DualModelSet) -> tuple[str, ...]:
-    violations = []
-    for j in range(m.L):
-        if m.g_pattern[j][j] is not EntryStatus.ZERO:
-            violations.append(f"self-loop module at vertex {j + 1}")
-    for j in range(m.L):
-        for l in range(m.L):
-            if m.g_pattern[j][l] is EntryStatus.KNOWN:
-                violations.append(
-                    f"module ({l + 1}, {j + 1}) is known; measurement selection"
-                    " expects every nonzero module to be parameterized"
-                )
     return tuple(violations)
+
+
+def _require_dual(m: ModelSet) -> None:
+    violations = validate_dual(m)
+    if violations:
+        raise InvalidDualModelError(violations)
+
+
+def _graph(m: ModelSet) -> DiGraph:
+    return DiGraph(frozenset(range(1, m.L + 1)), m.internal_edges())
 
 
 @dataclass(frozen=True)
@@ -96,8 +74,8 @@ class DualSelection:
     verified: bool
 
 
-def _reversed_extended(m: DualModelSet) -> ExtendedGraph:
-    rev = reverse(m.graph())
+def _reversed_extended(m: ModelSet) -> ExtendedGraph:
+    rev = reverse(_graph(m))
     return ExtendedGraph(
         graph=rev,
         L=m.L,
@@ -109,7 +87,7 @@ def _reversed_extended(m: DualModelSet) -> ExtendedGraph:
     )
 
 
-def select_measurements(m: DualModelSet) -> DualSelection:
+def select_measurements(m: ModelSet) -> DualSelection:
     """Pick a measured vertex set supporting disjoint paths from every
     out-neighborhood.
 
@@ -117,16 +95,8 @@ def select_measurements(m: DualModelSet) -> DualSelection:
     reversed pseudotree is an anti-pseudotree of the original graph and its
     roots are the vertices to measure.
     """
-    violations = validate_dual(m)
-    if violations:
-        raise InvalidDualModelError("; ".join(violations))
+    _require_dual(m)
     eg = _reversed_extended(m)
-    if not eg.parameterized_edges:
-        empty = Covering(trees=(), host=eg.graph, target_edges=frozenset())
-        return DualSelection(
-            measured=(), anti_trees=(), reversed_covering=empty,
-            pruned=(), verified=True,
-        )
     covering, _ = algorithm1_merge(eg)
     pi_s, _ = noise_rooted_filter(covering, eg)
     r0 = select_roots(pi_s)
@@ -149,7 +119,7 @@ def select_measurements(m: DualModelSet) -> DualSelection:
 
 
 def measurement_bounds(
-    m: DualModelSet, covering: Covering | None = None
+    m: ModelSet, covering: Covering | None = None
 ) -> tuple[int, int]:
     """Bounds on the measurement count.
 
@@ -157,17 +127,11 @@ def measurement_bounds(
     anti-pseudotree covering, defaulting to the heuristic's output on the
     reversed graph.
     """
-    g = m.graph()
+    _require_dual(m)
+    g = _graph(m)
     _, sinks = sources_and_sinks(g)
     max_outdeg = max((len(g.out_neighbors(v)) for v in g.vertices), default=0)
     lower = max(len(sinks), max_outdeg)
     if covering is None:
-        eg = _reversed_extended(m)
-        if eg.parameterized_edges:
-            covering, _ = algorithm1_merge(eg)
-            size = len(covering)
-        else:
-            size = 0
-    else:
-        size = len(covering)
-    return lower, size
+        covering, _ = algorithm1_merge(_reversed_extended(m))
+    return lower, len(covering)

@@ -68,16 +68,6 @@ class DiGraph:
         return tuple(sorted(self.edges))
 
 
-def in_neighbors(g: DiGraph, j: int) -> frozenset[int]:
-    """All i with an edge (i, j)."""
-    return g.in_neighbors(j)
-
-
-def out_neighbors(g: DiGraph, j: int) -> frozenset[int]:
-    """All i with an edge (j, i)."""
-    return g.out_neighbors(j)
-
-
 def sources_and_sinks(g: DiGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Vertices without in-edges, and vertices without out-edges.
 
@@ -86,22 +76,6 @@ def sources_and_sinks(g: DiGraph) -> tuple[frozenset[int], frozenset[int]]:
     sources = frozenset(v for v in g.vertices if not g._pred[v])
     sinks = frozenset(v for v in g.vertices if not g._succ[v])
     return sources, sinks
-
-
-def is_connected(g: DiGraph) -> bool:
-    """Whether the underlying undirected graph has a single component."""
-    if not g.vertices:
-        raise ValueError("connectivity is undefined for the empty graph")
-    start = min(g.vertices)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g._succ[v] + g._pred[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g.vertices)
 
 
 def reverse(g: DiGraph) -> DiGraph:

@@ -85,11 +85,5 @@ def excitation_bounds(
     )
     lower = max(0, max(sources, max_indeg) - eg.p)
     if covering is None:
-        if eg.parameterized_edges:
-            covering, _ = algorithm1_merge(eg)
-            size = len(covering)
-        else:
-            size = 0
-    else:
-        size = len(covering)
-    return lower, size - eg.p
+        covering, _ = algorithm1_merge(eg)
+    return lower, len(covering) - eg.p

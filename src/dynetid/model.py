@@ -5,17 +5,18 @@ noise model H and the excitation selection R: which entries are zero, which
 are unknown parameters, and which are fixed known transfers. That pattern is
 all the identifiability test needs.
 
-Conventions match the usual signal-flow reading: g_pattern[j][l] describes the
-module from vertex l+1 to vertex j+1, i.e. a nonzero entry at row j, column l
-is the edge (l+1, j+1). h_pattern[j][c] describes how noise channel c+1 enters
-vertex j+1.
+The pattern is stored sparsely. modules maps each nonzero module, keyed by
+its signal-flow edge (tail, head), i.e. the transfer from vertex tail into
+vertex head, to its status. noise holds one row -> status map per column of
+H: noise[c][j] describes how noise channel c+1 enters vertex j. Entries
+absent from either map are zero.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 from dynetid.graph import DiGraph, Edge
 
@@ -27,7 +28,14 @@ class EntryStatus(enum.Enum):
 
 
 class InvalidModelError(ValueError):
-    """Raised when an operation requires a model that passes validation."""
+    """Raised when an operation requires a model that passes validation.
+
+    The message joins the violations with "; "; violations keeps them apart.
+    """
+
+    def __init__(self, violations: Sequence[str]) -> None:
+        super().__init__("; ".join(violations))
+        self.violations = tuple(violations)
 
 
 Z = EntryStatus.ZERO
@@ -41,8 +49,9 @@ class ModelSet:
 
     Attributes:
         L: number of internal vertices, labeled 1..L.
-        g_pattern: L x L status matrix of the module transfers.
-        h_pattern: L x p status matrix of the noise model (p may be 0).
+        modules: status of every nonzero module, keyed by edge (tail, head).
+        noise: one row -> status map of nonzero entries per noise column
+            (there may be none).
         excited: vertices carrying one designed excitation signal each.
         strictly_proper_modules: if False, feedthrough_edges drives an
             algebraic-loop check at validation.
@@ -52,8 +61,8 @@ class ModelSet:
     """
 
     L: int
-    g_pattern: tuple[tuple[EntryStatus, ...], ...]
-    h_pattern: tuple[tuple[EntryStatus, ...], ...]
+    modules: Mapping[Edge, EntryStatus]
+    noise: tuple[Mapping[int, EntryStatus], ...]
     excited: frozenset[int]
     strictly_proper_modules: bool = True
     feedthrough_edges: frozenset[Edge] | None = None
@@ -61,13 +70,17 @@ class ModelSet:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError("a model needs at least one vertex")
-        if len(self.g_pattern) != self.L or any(len(r) != self.L for r in self.g_pattern):
-            raise ValueError(f"g_pattern must be {self.L}x{self.L}")
-        if len(self.h_pattern) != self.L:
-            raise ValueError(f"h_pattern must have {self.L} rows")
-        widths = {len(r) for r in self.h_pattern}
-        if len(widths) > 1:
-            raise ValueError("h_pattern rows have unequal lengths")
+        for (tail, head), status in self.modules.items():
+            if not (1 <= tail <= self.L and 1 <= head <= self.L):
+                raise ValueError(f"edge ({tail}, {head}) outside 1..{self.L}")
+            if status is Z:
+                raise ValueError(f"module ({tail}, {head}) is listed with a zero status")
+        for column in self.noise:
+            for row, status in column.items():
+                if not 1 <= row <= self.L:
+                    raise ValueError(f"noise row {row} outside 1..{self.L}")
+                if status is Z:
+                    raise ValueError(f"noise row {row} is listed with a zero status")
         for v in self.excited:
             if not 1 <= v <= self.L:
                 raise ValueError(f"excited vertex {v} outside 1..{self.L}")
@@ -78,19 +91,14 @@ class ModelSet:
 
     @property
     def p(self) -> int:
-        return len(self.h_pattern[0]) if self.h_pattern else 0
+        return len(self.noise)
 
     def g_status(self, tail: int, head: int) -> EntryStatus:
         """Status of the module on edge (tail, head)."""
-        return self.g_pattern[head - 1][tail - 1]
+        return self.modules.get((tail, head), Z)
 
     def internal_edges(self) -> frozenset[Edge]:
-        return frozenset(
-            (l + 1, j + 1)
-            for j in range(self.L)
-            for l in range(self.L)
-            if self.g_pattern[j][l] is not Z
-        )
+        return frozenset(self.modules)
 
     @classmethod
     def from_edges(
@@ -106,28 +114,24 @@ class ModelSet:
 
         edges may be (tail, head) pairs, taken as parameterized, or
         (tail, head, status) triples. noise_columns lists each H column as
-        (row, status) pairs.
+        (row, status) pairs. A later listing of the same entry overrides an
+        earlier one, and zero entries are dropped.
         """
-        g = [[Z] * L for _ in range(L)]
+        modules: dict[Edge, EntryStatus] = {}
         for e in edges:
             if len(e) == 2:
                 tail, head = e  # type: ignore[misc]
                 status = P
             else:
                 tail, head, status = e  # type: ignore[misc]
-            if not (1 <= tail <= L and 1 <= head <= L):
-                raise ValueError(f"edge ({tail}, {head}) outside 1..{L}")
-            g[head - 1][tail - 1] = status
-        h = [[Z] * len(noise_columns) for _ in range(L)]
-        for c, column in enumerate(noise_columns):
-            for row, status in column:
-                if not 1 <= row <= L:
-                    raise ValueError(f"noise row {row} outside 1..{L}")
-                h[row - 1][c] = status
+            modules[(tail, head)] = status
         return cls(
             L=L,
-            g_pattern=tuple(tuple(r) for r in g),
-            h_pattern=tuple(tuple(r) for r in h),
+            modules={e: s for e, s in modules.items() if s is not Z},
+            noise=tuple(
+                {row: s for row, s in dict(column).items() if s is not Z}
+                for column in noise_columns
+            ),
             excited=frozenset(excited),
             strictly_proper_modules=strictly_proper_modules,
             feedthrough_edges=None if feedthrough_edges is None else frozenset(feedthrough_edges),
@@ -140,29 +144,23 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def _column(m: ModelSet, c: int) -> list[EntryStatus]:
-    return [m.h_pattern[j][c] for j in range(m.L)]
-
-
 def _parameterized_columns(m: ModelSet) -> list[int]:
     """0-based indices of noise columns whose nonzeros are all parameterized."""
-    out = []
-    for c in range(m.p):
-        nonzero = [s for s in _column(m, c) if s is not Z]
-        if nonzero and all(s is P for s in nonzero):
-            out.append(c)
-    return out
+    return [
+        c for c, column in enumerate(m.noise)
+        if column and all(s is P for s in column.values())
+    ]
 
 
 def _single_known_columns(m: ModelSet) -> list[tuple[int, int]]:
     """(0-based column, driven vertex) for columns with one Known nonzero."""
-    out = []
-    for c in range(m.p):
-        col = _column(m, c)
-        nonzero = [(j + 1, s) for j, s in enumerate(col) if s is not Z]
-        if len(nonzero) == 1 and nonzero[0][1] is K:
-            out.append((c, nonzero[0][0]))
-    return out
+    return [
+        (c, row)
+        for c, column in enumerate(m.noise)
+        if len(column) == 1
+        for row, s in column.items()
+        if s is K
+    ]
 
 
 def validate(m: ModelSet) -> ValidationReport:
@@ -177,25 +175,26 @@ def validate(m: ModelSet) -> ValidationReport:
     """
     violations: list[str] = []
 
-    for j in range(m.L):
-        if m.g_pattern[j][j] is not Z:
-            violations.append(f"self-loop module at vertex {j + 1}")
+    for v in sorted(t for t, h in m.modules if t == h):
+        violations.append(f"self-loop module at vertex {v}")
 
-    for j in range(m.L):
-        nonzero = [s for s in m.h_pattern[j] if s is not Z]
+    rows: dict[int, list[EntryStatus]] = {}
+    for column in m.noise:
+        for row, s in column.items():
+            rows.setdefault(row, []).append(s)
+    for row in sorted(rows):
+        nonzero = rows[row]
         if len(nonzero) >= 2 and any(s is not P for s in nonzero):
             violations.append(
-                f"noise row {j + 1} mixes a known entry with other nonzeros"
+                f"noise row {row} mixes a known entry with other nonzeros"
             )
 
-    for c in range(m.p):
-        col = _column(m, c)
-        nonzero = [s for s in col if s is not Z]
-        if not nonzero:
+    for c, column in enumerate(m.noise):
+        if not column:
             violations.append(f"noise column {c + 1} drives no vertex")
-        elif len(nonzero) == 1:
+        elif len(column) == 1:
             pass  # single entry, parameterized or known, both fine
-        elif any(s is not P for s in nonzero):
+        elif any(s is not P for s in column.values()):
             violations.append(
                 f"noise column {c + 1} has multiple nonzeros that are not all parameterized"
             )
@@ -216,30 +215,32 @@ def validate(m: ModelSet) -> ValidationReport:
             for e in sorted(feed - internal):
                 violations.append(f"feedthrough edge {e} is not a nonzero module")
             feed = feed & internal
-        if _has_cycle(m.L, feed):
+        if _has_cycle(feed):
             violations.append("feedthrough subgraph contains a cycle (algebraic loop)")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _has_cycle(L: int, edges: frozenset[Edge]) -> bool:
-    succ: dict[int, list[int]] = {v: [] for v in range(1, L + 1)}
+def _has_cycle(edges: Iterable[Edge]) -> bool:
+    """Kahn's peel: a digraph is acyclic exactly when repeatedly removing
+    its in-degree-zero vertices removes them all. Iterative, so the depth of
+    the graph is not limited by the interpreter's recursion limit."""
+    succ: dict[int, list[int]] = {}
+    indeg: dict[int, int] = {}
     for t, h in edges:
-        succ[t].append(h)
-    state: dict[int, int] = {}  # 0 visiting, 1 done
-
-    def visit(v: int) -> bool:
-        state[v] = 0
-        for w in succ[v]:
-            s = state.get(w)
-            if s == 0:
-                return True
-            if s is None and visit(w):
-                return True
-        state[v] = 1
-        return False
-
-    return any(state.get(v) is None and visit(v) for v in range(1, L + 1))
+        succ.setdefault(t, []).append(h)
+        indeg.setdefault(t, 0)
+        indeg[h] = indeg.get(h, 0) + 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for w in succ.get(v, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return peeled < len(indeg)
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,7 @@ class ExtendedGraph:
         parameterized_edges: edges whose transfer is an unknown parameter;
             known edges stay in the graph but not in this set.
         p0: number of single-known noise columns.
+        internal: the internal vertices 1..L, derived from L.
     """
 
     graph: DiGraph
@@ -265,10 +267,11 @@ class ExtendedGraph:
     stimulated: frozenset[int]
     parameterized_edges: frozenset[Edge]
     p0: int
+    # Built once: the per-vertex loops test membership on every call.
+    internal: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def internal(self) -> frozenset[int]:
-        return frozenset(range(1, self.L + 1))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "internal", frozenset(range(1, self.L + 1)))
 
     @property
     def p(self) -> int:
@@ -276,33 +279,23 @@ class ExtendedGraph:
 
 
 def build_extended_graph(m: ModelSet) -> ExtendedGraph:
-    """Construct the extended graph of a validated model."""
+    """Construct the extended graph of a model; InvalidModelError if invalid."""
     report = validate(m)
     if not report.ok:
-        raise InvalidModelError("; ".join(report.violations))
-
-    internal_edges = m.internal_edges()
-    param_edges = {
-        (l + 1, j + 1)
-        for j in range(m.L)
-        for l in range(m.L)
-        if m.g_pattern[j][l] is P
-    }
+        raise InvalidModelError(report.violations)
 
     # Parameterized columns are compacted in their original order before
     # vertex ids are assigned, so gaps left by single-known columns vanish.
     param_cols = _parameterized_columns(m)
     noise_vertices = frozenset(m.L + k + 1 for k in range(len(param_cols)))
-    noise_edges = set()
-    for k, c in enumerate(param_cols):
-        nv = m.L + k + 1
-        for j in range(m.L):
-            if m.h_pattern[j][c] is P:
-                noise_edges.add((nv, j + 1))
+    noise_edges = frozenset(
+        (m.L + k + 1, row) for k, c in enumerate(param_cols) for row in m.noise[c]
+    )
+    param_edges = frozenset(e for e, s in m.modules.items() if s is P)
 
     noise_driven = frozenset(v for _, v in _single_known_columns(m))
     vertices = frozenset(range(1, m.L + 1)) | noise_vertices
-    graph = DiGraph(vertices, frozenset(internal_edges) | frozenset(noise_edges))
+    graph = DiGraph(vertices, m.internal_edges() | noise_edges)
 
     return ExtendedGraph(
         graph=graph,
@@ -310,7 +303,7 @@ def build_extended_graph(m: ModelSet) -> ExtendedGraph:
         noise_vertices=noise_vertices,
         noise_driven=noise_driven,
         stimulated=m.excited | noise_vertices | noise_driven,
-        parameterized_edges=frozenset(param_edges) | frozenset(noise_edges),
+        parameterized_edges=param_edges | noise_edges,
         p0=m.p - len(param_cols),
     )
 

@@ -67,19 +67,17 @@ def model_from_json(doc: Any) -> ModelSet:
 
     if not isinstance(doc["modules"], list):
         raise ModelFileError('"modules" must be a list')
-    g = [[EntryStatus.ZERO] * L for _ in range(L)]
-    seen_edges = set()
+    modules: dict[tuple[int, int], EntryStatus] = {}
     for k, entry in enumerate(doc["modules"]):
         where = f"modules[{k}]"
         _require_object(entry, where, required=("from", "to", "status"))
         tail = _int_field(entry["from"], f'{where}.\"from\"', 1, L)
         head = _int_field(entry["to"], f'{where}.\"to\"', 1, L)
-        if (tail, head) in seen_edges:
+        if (tail, head) in modules:
             raise ModelFileError(f"{where} duplicates module ({tail}, {head})")
-        seen_edges.add((tail, head))
-        g[head - 1][tail - 1] = _status_field(entry["status"], f'{where}.\"status\"')
+        modules[(tail, head)] = _status_field(entry["status"], f'{where}.\"status\"')
 
-    columns: list[list[tuple[int, EntryStatus]]] = []
+    columns: list[dict[int, EntryStatus]] = []
     if "noise" in doc:
         noise = doc["noise"]
         _require_object(noise, '"noise"', required=("p", "columns"))
@@ -90,21 +88,15 @@ def model_from_json(doc: Any) -> ModelSet:
             where = f"noise.columns[{c}]"
             if not isinstance(column, list):
                 raise ModelFileError(f"{where} must be a list")
-            rows_seen = set()
-            parsed = []
+            parsed: dict[int, EntryStatus] = {}
             for k, entry in enumerate(column):
                 cell = f"{where}[{k}]"
                 _require_object(entry, cell, required=("row", "status"))
                 row = _int_field(entry["row"], f'{cell}.\"row\"', 1, L)
-                if row in rows_seen:
+                if row in parsed:
                     raise ModelFileError(f"{cell} duplicates row {row}")
-                rows_seen.add(row)
-                parsed.append((row, _status_field(entry["status"], f'{cell}.\"status\"')))
+                parsed[row] = _status_field(entry["status"], f'{cell}.\"status\"')
             columns.append(parsed)
-    h = [[EntryStatus.ZERO] * len(columns) for _ in range(L)]
-    for c, column in enumerate(columns):
-        for row, status in column:
-            h[row - 1][c] = status
 
     if not isinstance(doc["excited"], list):
         raise ModelFileError('"excited" must be a list')
@@ -136,8 +128,8 @@ def model_from_json(doc: Any) -> ModelSet:
 
     return ModelSet(
         L=L,
-        g_pattern=tuple(tuple(r) for r in g),
-        h_pattern=tuple(tuple(r) for r in h),
+        modules=modules,
+        noise=tuple(columns),
         excited=frozenset(excited),
         strictly_proper_modules=doc["strictly_proper"],
         feedthrough_edges=None if feedthrough is None else frozenset(feedthrough),
@@ -147,33 +139,23 @@ def model_from_json(doc: Any) -> ModelSet:
 def parse_model(text: str) -> ModelSet:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFileError(f"not valid JSON: {exc}") from exc
     return model_from_json(doc)
 
 
 def model_to_json(m: ModelSet) -> dict:
     doc: dict[str, Any] = {"schema": SCHEMA_VERSION, "L": m.L}
-    modules = []
-    for head in range(1, m.L + 1):
-        for tail in range(1, m.L + 1):
-            status = m.g_pattern[head - 1][tail - 1]
-            if status is not EntryStatus.ZERO:
-                modules.append((tail, head, status))
     doc["modules"] = [
         {"from": t, "to": h, "status": _NAME_BY_STATUS[s]}
-        for t, h, s in sorted(modules, key=lambda x: (x[0], x[1]))
+        for (t, h), s in sorted(m.modules.items())
     ]
     if m.p:
         doc["noise"] = {
             "p": m.p,
             "columns": [
-                [
-                    {"row": j + 1, "status": _NAME_BY_STATUS[m.h_pattern[j][c]]}
-                    for j in range(m.L)
-                    if m.h_pattern[j][c] is not EntryStatus.ZERO
-                ]
-                for c in range(m.p)
+                [{"row": j, "status": _NAME_BY_STATUS[s]} for j, s in sorted(column.items())]
+                for column in m.noise
             ],
         }
     doc["excited"] = sorted(m.excited)

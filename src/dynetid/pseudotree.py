@@ -453,7 +453,12 @@ def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]
     from the covering between passes and the loop only stops once it is
     One-free. The loop keeps this conservative fold and its recompute so
     that the coverings and traces it produces stay unchanged.
+
+    Without parameterized edges there is nothing to cover: the result is
+    the empty covering and an empty trace.
     """
+    if not eg.parameterized_edges:
+        return Covering(trees=(), host=eg.graph, target_edges=eg.parameterized_edges), []
     state = {"c": initial_covering(eg)}
 
     def advance(m: CharMatrix, i: int, j: int) -> CharMatrix:

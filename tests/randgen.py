@@ -150,7 +150,12 @@ def graph_key(g: DiGraph):
 
 
 def model_key(m: ModelSet):
-    return (m.L, m.g_pattern, m.h_pattern, tuple(sorted(m.excited)))
+    return (
+        m.L,
+        tuple(sorted(m.modules.items())),
+        tuple(tuple(sorted(column.items())) for column in m.noise),
+        tuple(sorted(m.excited)),
+    )
 
 
 def all_extended_subsets(eg: ExtendedGraph):

@@ -19,8 +19,8 @@ import pytest
 
 from dynetid.allocation import allocate
 from dynetid.cli import main
-from dynetid.dual import DualModelSet, select_measurements
-from dynetid.graph import max_vertex_disjoint_paths
+from dynetid.dual import select_measurements
+from dynetid.graph import DiGraph, max_vertex_disjoint_paths
 from dynetid.identifiability import excitation_bounds
 from dynetid.model import (
     EntryStatus,
@@ -245,12 +245,11 @@ def test_criterion_09_allocation_soundness_and_bounds():
     wide = OracleBudget(max_vertices=8, max_edges=20, max_nodes_explored=500_000)
     models = unverified = bound_breaks = kappa_breaks = kappa_checked = 0
     for _ in range(200):
-        m = random_bounded_model(rng)
+        eg = build_extended_graph(random_bounded_model(rng))
         models += 1
-        result = allocate(m)
+        result = allocate(eg)
         if not result.verified:
             unverified += 1
-        eg = build_extended_graph(m)
         lower, upper = excitation_bounds(eg, result.covering_used)
         if not lower <= len(result.excited) <= upper:
             bound_breaks += 1
@@ -281,10 +280,10 @@ def test_criterion_10_measurement_duality():
     instances = condition_breaks = mapping_breaks = 0
     for _ in range(100):
         n, edges = random_all_param_edges(rng)
-        m = DualModelSet.from_edges(n, edges)
+        m = ModelSet.from_edges(n, edges)
         instances += 1
         sel = select_measurements(m)
-        g = m.graph()
+        g = DiGraph.of(range(1, n + 1), edges)
         measured = set(sel.measured)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)

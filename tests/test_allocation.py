@@ -111,50 +111,48 @@ class TestPrune:
 
 class TestAllocate:
     def test_diamond_hits_the_lower_bound(self):
-        result = allocate(diamond())
+        eg = build_extended_graph(diamond())
+        result = allocate(eg)
         assert result.excited == (1, 3)
         assert result.verified
-        lower, upper = excitation_bounds(
-            build_extended_graph(diamond()), result.covering_used
-        )
+        lower, upper = excitation_bounds(eg, result.covering_used)
         assert lower == len(result.excited) <= upper
 
     def test_single_edge(self):
-        result = allocate(ModelSet.from_edges(2, [(1, 2)]))
+        result = allocate(build_extended_graph(ModelSet.from_edges(2, [(1, 2)])))
         assert result.excited == (1,)
         assert result.verified
 
     def test_fixture_needs_one_designed_excitation(self):
-        result = allocate(correlated_noise_model())
+        result = allocate(build_extended_graph(correlated_noise_model()))
         assert result.excited == (5,)
         assert result.pruned == ()
         assert result.verified
         assert len(result.covering_used.trees) == 4
 
     def test_noise_alone_can_suffice(self):
-        result = allocate(doubly_noise_covered())
+        result = allocate(build_extended_graph(doubly_noise_covered()))
         assert result.excited == ()
         assert result.verified
 
     def test_no_parameterized_edges(self):
-        result = allocate(ModelSet.from_edges(3, [(1, 2, K), (2, 3, K)]))
+        result = allocate(build_extended_graph(ModelSet.from_edges(3, [(1, 2, K), (2, 3, K)])))
         assert result.excited == ()
         assert result.verified
         assert result.covering_used.trees == ()
 
     def test_deterministic(self):
-        a = allocate(correlated_noise_model())
-        b = allocate(correlated_noise_model())
+        a = allocate(build_extended_graph(correlated_noise_model()))
+        b = allocate(build_extended_graph(correlated_noise_model()))
         assert a == b
 
     @given(SEEDS)
     @settings(max_examples=100, deadline=None)
     def test_result_is_verified_and_sound(self, seed):
         rng = random.Random(seed)
-        m = random_model(rng)
-        result = allocate(m)
+        eg = build_extended_graph(random_model(rng))
+        result = allocate(eg)
         assert result.verified
-        eg = build_extended_graph(m)
         assert check_with_excitations(eg, result.excited).identifiable
         assert set(result.excited) <= eg.internal
 
@@ -162,8 +160,7 @@ class TestAllocate:
     @settings(max_examples=60, deadline=None)
     def test_bounds_sandwich_the_allocation(self, seed):
         rng = random.Random(seed)
-        m = random_bounded_model(rng)
-        result = allocate(m)
-        eg = build_extended_graph(m)
+        eg = build_extended_graph(random_bounded_model(rng))
+        result = allocate(eg)
         lower, upper = excitation_bounds(eg, result.covering_used)
         assert lower <= len(result.excited) <= upper

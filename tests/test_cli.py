@@ -5,7 +5,10 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import dynetid.cli as cli
+import dynetid.model
 from dynetid.allocation import AllocationResult
 from dynetid.cli import main
 from dynetid.dual import DualSelection
@@ -69,6 +72,22 @@ class TestValidateCommand:
         code, _, err = run(capsys, ["validate", "/no/such/file.json"])
         assert code == 1
         assert "error:" in err
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: not valid UTF-8")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: not valid JSON")
 
 
 class TestCheckCommand:
@@ -201,11 +220,14 @@ class TestAllocateMeasurementsCommand:
         assert any("noise-free" in v for v in violations)
 
     def test_known_module_rejected(self, tmp_path, capsys):
-        m = ModelSet.from_edges(2, [(1, 2, K)])
+        m = ModelSet.from_edges(3, [(1, 2, K), (2, 3), (3, 1, K)])
         code, out, _ = run(capsys, ["allocate-measurements", write_model(tmp_path, m)])
         assert code == 2
-        violations = json.loads(out)["result"]["violations"]
-        assert any("parameterized" in v for v in violations)
+        assert json.loads(out)["result"]["violations"] == [
+            f"module {e} is known; measurement selection"
+            " expects every nonzero module to be parameterized"
+            for e in ((3, 1), (1, 2))
+        ]
 
     def test_unverified_result_exits_4(self, tmp_path, capsys, monkeypatch):
         fake = DualSelection(
@@ -305,3 +327,32 @@ class TestReportPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["ok"] is True
+
+
+class TestValidationCount:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "validate",
+            "check",
+            "cover",
+            "allocate",
+            "allocate-measurements",
+            "bounds",
+            "oracle-compare",
+        ],
+    )
+    def test_each_command_validates_once(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        original = dynetid.model.validate
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        # The CLI holds its own binding of validate; patch both.
+        monkeypatch.setattr(dynetid.model, "validate", counting)
+        monkeypatch.setattr(cli, "validate", counting)
+        code, _, _ = run(capsys, [command, write_model(tmp_path, diamond_model())])
+        assert code == 0
+        assert len(calls) == 1

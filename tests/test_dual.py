@@ -7,44 +7,43 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynetid.dual import (
-    DualModelSet,
     InvalidDualModelError,
     measurement_bounds,
     select_measurements,
     validate_dual,
 )
-from dynetid.graph import max_vertex_disjoint_paths
-from dynetid.model import EntryStatus
+from dynetid.graph import DiGraph, max_vertex_disjoint_paths
+from dynetid.model import EntryStatus, ModelSet
 from dynetid.pseudotree import covering_violations
 
 from .randgen import random_all_param_edges
 
 SEEDS = st.integers(0, 10**9)
 
-P, K, Z = EntryStatus.PARAMETERIZED, EntryStatus.KNOWN, EntryStatus.ZERO
+P, K = EntryStatus.PARAMETERIZED, EntryStatus.KNOWN
 
 
-def diamond() -> DualModelSet:
-    return DualModelSet.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+def diamond() -> ModelSet:
+    return ModelSet.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+
+
+def graph_of(m: ModelSet) -> DiGraph:
+    return DiGraph(frozenset(range(1, m.L + 1)), m.internal_edges())
 
 
 class TestConstruction:
     def test_needs_one_vertex(self):
         with pytest.raises(ValueError, match="at least one vertex"):
-            DualModelSet(0, ())
-
-    def test_pattern_must_be_square(self):
-        with pytest.raises(ValueError, match="g_pattern"):
-            DualModelSet(2, ((Z,),))
+            ModelSet.from_edges(0)
 
     def test_edge_in_range(self):
         with pytest.raises(ValueError, match="outside"):
-            DualModelSet.from_edges(2, [(1, 3)])
+            ModelSet.from_edges(2, [(1, 3)])
 
     def test_edges_round_trip(self):
         m = diamond()
-        assert m.edges() == {(1, 2), (1, 3), (2, 4), (3, 4)}
-        assert m.graph().vertices == {1, 2, 3, 4}
+        assert m.internal_edges() == {(1, 2), (1, 3), (2, 4), (3, 4)}
+        assert graph_of(m).vertices == {1, 2, 3, 4}
 
 
 class TestValidateDual:
@@ -52,26 +51,39 @@ class TestValidateDual:
         assert validate_dual(diamond()) == ()
 
     def test_self_loop(self):
-        m = DualModelSet.from_edges(2, [(1, 1), (1, 2)])
+        m = ModelSet.from_edges(2, [(1, 1), (1, 2)])
         assert any("self-loop" in v for v in validate_dual(m))
 
     def test_known_module_rejected(self):
-        g = ((Z, Z), (K, Z))
-        m = DualModelSet(2, g)
+        m = ModelSet.from_edges(2, [(1, 2, K)])
         violations = validate_dual(m)
         assert any("parameterized" in v for v in violations)
-        with pytest.raises(InvalidDualModelError, match="parameterized"):
+        with pytest.raises(InvalidDualModelError, match="parameterized") as info:
             select_measurements(m)
+        assert info.value.violations == violations
+
+    def test_noise_model_rejected(self):
+        m = ModelSet.from_edges(2, [(1, 2, K)], noise_columns=[[(1, P)]])
+        assert validate_dual(m) == (
+            "measurement selection requires a noise-free model (p = 0)",
+        )
+        with pytest.raises(InvalidDualModelError, match="noise-free"):
+            select_measurements(m)
+        with pytest.raises(InvalidDualModelError, match="noise-free"):
+            measurement_bounds(m)
+
+    def test_excitations_are_ignored(self):
+        assert validate_dual(ModelSet.from_edges(2, [(1, 2)], excited=[1])) == ()
 
 
 class TestSelectMeasurements:
     def test_single_edge(self):
-        sel = select_measurements(DualModelSet.from_edges(2, [(1, 2)]))
+        sel = select_measurements(ModelSet.from_edges(2, [(1, 2)]))
         assert sel.measured == (2,)
         assert sel.verified
 
     def test_chain(self):
-        sel = select_measurements(DualModelSet.from_edges(3, [(1, 2), (2, 3)]))
+        sel = select_measurements(ModelSet.from_edges(3, [(1, 2), (2, 3)]))
         assert sel.measured == (3,)
         assert len(sel.anti_trees) == 1
 
@@ -82,7 +94,7 @@ class TestSelectMeasurements:
         assert sel.verified
 
     def test_no_edges(self):
-        sel = select_measurements(DualModelSet.from_edges(2, []))
+        sel = select_measurements(ModelSet.from_edges(2, []))
         assert sel.measured == ()
         assert sel.verified
         assert sel.anti_trees == ()
@@ -100,7 +112,7 @@ class TestSelectMeasurements:
 
     def test_out_neighborhood_condition(self):
         m = diamond()
-        g = m.graph()
+        g = graph_of(m)
         measured = set(select_measurements(m).measured)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)
@@ -112,11 +124,11 @@ class TestSelectMeasurements:
     def test_condition_holds_on_random_patterns(self, seed):
         rng = random.Random(seed)
         n, edges = random_all_param_edges(rng)
-        m = DualModelSet.from_edges(n, edges)
+        m = ModelSet.from_edges(n, edges)
         assume(not any(t == h for t, h in edges))
         sel = select_measurements(m)
         assert sel.verified
-        g = m.graph()
+        g = graph_of(m)
         measured = set(sel.measured)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)
@@ -129,7 +141,7 @@ class TestSelectMeasurements:
         rng = random.Random(seed)
         n, edges = random_all_param_edges(rng)
         assume(not any(t == h for t, h in edges))
-        sel = select_measurements(DualModelSet.from_edges(n, edges))
+        sel = select_measurements(ModelSet.from_edges(n, edges))
         assert covering_violations(sel.reversed_covering) == ()
         rev_edges = {e for t in sel.reversed_covering.trees for e in t.edges}
         assert rev_edges == {(h, t) for t, h in edges}
@@ -140,10 +152,10 @@ class TestMeasurementBounds:
         assert measurement_bounds(diamond()) == (2, 2)
 
     def test_chain(self):
-        assert measurement_bounds(DualModelSet.from_edges(3, [(1, 2), (2, 3)])) == (1, 1)
+        assert measurement_bounds(ModelSet.from_edges(3, [(1, 2), (2, 3)])) == (1, 1)
 
     def test_star_needs_one_per_sink(self):
-        m = DualModelSet.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+        m = ModelSet.from_edges(4, [(1, 2), (1, 3), (1, 4)])
         assert measurement_bounds(m) == (3, 3)
 
     @given(SEEDS)
@@ -152,7 +164,7 @@ class TestMeasurementBounds:
         rng = random.Random(seed)
         n, edges = random_all_param_edges(rng)
         assume(not any(t == h for t, h in edges))
-        m = DualModelSet.from_edges(n, edges)
+        m = ModelSet.from_edges(n, edges)
         touched = {v for e in edges for v in e}
         assume(touched == set(range(1, n + 1)))  # isolated vertices inflate the sink count
         sel = select_measurements(m)

@@ -1,5 +1,4 @@
-"""Graph primitives: construction rules, neighborhood queries, connectivity,
-reversal, and the vertex-disjoint path count (cross-checked against the
+"""Graph primitives: construction rules, neighborhood queries, reversal, and the vertex-disjoint path count (cross-checked against the
 brute-force oracle)."""
 
 import random
@@ -10,10 +9,7 @@ from hypothesis import strategies as st
 
 from dynetid.graph import (
     DiGraph,
-    in_neighbors,
-    is_connected,
     max_vertex_disjoint_paths,
-    out_neighbors,
     reverse,
     sources_and_sinks,
 )
@@ -56,22 +52,22 @@ class TestConstruction:
 class TestNeighborhoods:
     def test_chain_middle(self):
         g = chain()
-        assert in_neighbors(g, 2) == {1}
-        assert out_neighbors(g, 2) == {3}
+        assert g.in_neighbors(2) == {1}
+        assert g.out_neighbors(2) == {3}
 
     def test_diamond_join(self):
-        assert in_neighbors(diamond(), 4) == {2, 3}
+        assert diamond().in_neighbors(4) == {2, 3}
 
     def test_isolated_vertex(self):
         g = DiGraph.of([1, 2], [])
-        assert in_neighbors(g, 1) == frozenset()
-        assert out_neighbors(g, 1) == frozenset()
+        assert g.in_neighbors(1) == frozenset()
+        assert g.out_neighbors(1) == frozenset()
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError, match="vertex 9 is not in the graph"):
-            in_neighbors(diamond(), 9)
+            diamond().in_neighbors(9)
         with pytest.raises(ValueError, match="not in the graph"):
-            out_neighbors(diamond(), 9)
+            diamond().out_neighbors(9)
 
 
 class TestSourcesAndSinks:
@@ -88,24 +84,6 @@ class TestSourcesAndSinks:
     def test_cycle_has_neither(self):
         g = DiGraph.of([1, 2], [(1, 2), (2, 1)])
         assert sources_and_sinks(g) == (frozenset(), frozenset())
-
-
-class TestConnectivity:
-    def test_chain_connected(self):
-        assert is_connected(chain())
-
-    def test_two_components(self):
-        g = DiGraph.of([1, 2, 3, 4], [(1, 2), (3, 4)])
-        assert not is_connected(g)
-
-    def test_orientation_ignored(self):
-        # anti-parallel arms are still one undirected component
-        g = DiGraph.of([1, 2, 3], [(1, 2), (3, 2)])
-        assert is_connected(g)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            is_connected(DiGraph.of([]))
 
 
 class TestReverse:
@@ -194,5 +172,5 @@ class TestDisjointPathProperties:
         g = random_digraph(rng)
         r = reverse(g)
         for v in g.vertices:
-            assert in_neighbors(r, v) == out_neighbors(g, v)
-            assert out_neighbors(r, v) == in_neighbors(g, v)
+            assert r.in_neighbors(v) == g.out_neighbors(v)
+            assert r.out_neighbors(v) == g.in_neighbors(v)

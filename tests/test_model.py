@@ -11,6 +11,7 @@ from dynetid.model import (
     EntryStatus,
     InvalidModelError,
     ModelSet,
+    ValidationReport,
     build_extended_graph,
     extended_in_neighbors,
     validate,
@@ -39,19 +40,7 @@ def correlated_noise_model() -> ModelSet:
 class TestConstruction:
     def test_needs_one_vertex(self):
         with pytest.raises(ValueError, match="at least one vertex"):
-            ModelSet(0, (), (), frozenset())
-
-    def test_g_pattern_must_be_square(self):
-        with pytest.raises(ValueError, match="g_pattern"):
-            ModelSet(2, ((Z,),), ((), ()), frozenset())
-
-    def test_h_pattern_row_count(self):
-        with pytest.raises(ValueError, match="h_pattern"):
-            ModelSet(2, ((Z, Z), (Z, Z)), ((),), frozenset())
-
-    def test_h_pattern_ragged_rows(self):
-        with pytest.raises(ValueError, match="unequal"):
-            ModelSet(2, ((Z, Z), (Z, Z)), ((Z,), (Z, Z)), frozenset())
+            ModelSet(0, {}, (), frozenset())
 
     def test_excited_vertex_in_range(self):
         with pytest.raises(ValueError, match="excited vertex"):
@@ -60,10 +49,25 @@ class TestConstruction:
     def test_edge_in_range(self):
         with pytest.raises(ValueError, match="outside"):
             ModelSet.from_edges(2, [(1, 5)])
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) outside"):
+            ModelSet(2, {(0, 1): P}, (), frozenset())
 
     def test_noise_row_in_range(self):
         with pytest.raises(ValueError, match="noise row"):
             ModelSet.from_edges(2, [(1, 2)], noise_columns=[[(9, P)]])
+        with pytest.raises(ValueError, match="noise row 3 outside"):
+            ModelSet(2, {}, ({3: K},), frozenset())
+
+    def test_zero_entries_are_not_stored(self):
+        m = ModelSet.from_edges(
+            3, [(1, 2), (2, 3, K), (1, 2, Z)], noise_columns=[[(1, P), (2, Z)]]
+        )
+        assert m.modules == {(2, 3): K}
+        assert m.noise == ({1: P},)
+        with pytest.raises(ValueError, match="zero status"):
+            ModelSet(2, {(1, 2): Z}, (), frozenset())
+        with pytest.raises(ValueError, match="zero status"):
+            ModelSet(2, {}, ({1: Z},), frozenset())
 
     def test_p_counts_columns(self):
         assert correlated_noise_model().p == 3
@@ -84,7 +88,7 @@ class TestValidate:
         assert validate(correlated_noise_model()).ok
 
     def test_self_loop_module(self):
-        m = ModelSet(2, ((P, Z), (Z, Z)), ((), ()), frozenset())
+        m = ModelSet.from_edges(2, [(1, 1)])
         report = validate(m)
         assert not report.ok
         assert any("self-loop module" in v for v in report.violations)
@@ -106,7 +110,7 @@ class TestValidate:
         assert any("row 1" in v for v in report.violations)
 
     def test_empty_column_rejected(self):
-        m = ModelSet(2, ((Z, Z), (Z, Z)), ((Z,), (Z,)), frozenset())
+        m = ModelSet.from_edges(2, noise_columns=[[]])
         report = validate(m)
         assert any("drives no vertex" in v for v in report.violations)
 
@@ -147,6 +151,20 @@ class TestValidate:
         )
         report = validate(m)
         assert any("not a nonzero module" in v for v in report.violations)
+
+    def test_deep_feedthrough_chain_is_acyclic(self):
+        L = 3000
+        chain = [(v, v + 1) for v in range(1, L)]
+        m = ModelSet.from_edges(L, chain, strictly_proper_modules=False)
+        assert validate(m) == ValidationReport(ok=True, violations=())
+
+    def test_deep_feedthrough_loop_is_reported(self):
+        L = 3000
+        loop = [(v, v + 1) for v in range(1, L)] + [(L, 1)]
+        m = ModelSet.from_edges(L, loop, strictly_proper_modules=False)
+        assert validate(m).violations == (
+            "feedthrough subgraph contains a cycle (algebraic loop)",
+        )
 
     def test_strictly_proper_ignores_cycles(self):
         m = ModelSet.from_edges(2, [(1, 2), (2, 1)])
@@ -211,9 +229,12 @@ class TestExtendedGraph:
         assert extended_in_neighbors(eg, 3) == {2}
 
     def test_invalid_model_rejected(self):
-        m = ModelSet(2, ((P, Z), (Z, Z)), ((), ()), frozenset())
-        with pytest.raises(InvalidModelError):
+        m = ModelSet.from_edges(2, [(1, 1), (2, 2)])
+        with pytest.raises(InvalidModelError) as info:
             build_extended_graph(m)
+        violations = ("self-loop module at vertex 1", "self-loop module at vertex 2")
+        assert info.value.violations == violations
+        assert str(info.value) == "; ".join(violations)
 
     def test_in_neighbors_of_noise_vertex_rejected(self):
         eg = build_extended_graph(correlated_noise_model())

@@ -64,8 +64,7 @@ class TestParsing:
         }
         m = model_from_json(doc)
         assert m.p == 2
-        assert m.h_pattern[0][0] is P
-        assert m.h_pattern[2][1] is K
+        assert m.noise == ({1: P, 2: P}, {3: K})
 
     def test_feedthrough_edges(self):
         doc = diamond_doc()

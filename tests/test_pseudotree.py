@@ -350,6 +350,14 @@ class TestAlgorithmOne:
         assert trace == []
         assert len(covering) == 1
 
+    def test_no_targets_give_the_empty_covering(self):
+        eg = build_extended_graph(
+            ModelSet.from_edges(2, [(1, 2, EntryStatus.KNOWN)])
+        )
+        covering, trace = algorithm1_merge(eg)
+        assert trace == []
+        assert covering == Covering(trees=(), host=eg.graph, target_edges=frozenset())
+
     def test_correlated_noise_fixture(self):
         eg = build_extended_graph(correlated_noise_model())
         covering, trace = algorithm1_merge(eg)
