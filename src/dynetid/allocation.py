@@ -1,20 +1,22 @@
 """Excitation signal allocation.
 
-Pipeline: cover the parameterized edges with disjoint pseudotrees, drop the
-trees already rooted in a noise-stimulated vertex, excite one root of each
-remaining tree, then greedily prune roots whose removal keeps the per-tree
-path condition intact. The greedy step validates only the tree at hand, so
-a removal can in principle invalidate a tree cleared earlier; a full final
-verification with rollback keeps the result sound regardless.
+Pipeline (cover_and_prune): cover the parameterized edges with disjoint
+pseudotrees, drop the trees already rooted in a noise-stimulated vertex,
+excite one root of each remaining tree, then greedily prune roots whose
+removal keeps the path condition intact on the tree's own vertices. The
+greedy step validates only the tree at hand, so a removal can in principle
+invalidate a tree cleared earlier; a full final verification with rollback
+keeps the result sound regardless. Both tests evaluate the path condition
+through identifiability.vertex_checks. allocate adds its fallbacks on top;
+the measurement dual runs the same pipeline on the reversed graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynetid.graph import max_vertex_disjoint_paths
-from dynetid.identifiability import check_with_excitations
-from dynetid.model import ExtendedGraph, extended_in_neighbors
+from dynetid.identifiability import check_with_excitations, vertex_checks
+from dynetid.model import ExtendedGraph
 from dynetid.pseudotree import Covering, Pseudotree, algorithm1_merge
 
 
@@ -45,20 +47,6 @@ def select_roots(pi_s: tuple[Pseudotree, ...]) -> tuple[int, ...]:
     return tuple(min(t.roots) for t in pi_s)
 
 
-def _tree_condition_holds(
-    eg: ExtendedGraph, stimulated: frozenset[int], tree: Pseudotree
-) -> bool:
-    for j in sorted(tree.vertices):
-        if j not in eg.internal:
-            continue
-        targets = extended_in_neighbors(eg, j)
-        if not targets:
-            continue
-        if max_vertex_disjoint_paths(eg.graph, stimulated, targets) != len(targets):
-            return False
-    return True
-
-
 def prune(
     eg: ExtendedGraph,
     pi_s: tuple[Pseudotree, ...],
@@ -78,7 +66,10 @@ def prune(
     for k, tree in enumerate(pi_s):
         tau = r0[k]
         trial = frozenset(active - {tau}) | v_e
-        if _tree_condition_holds(eg, trial, tree):
+        if all(
+            c.achieved == c.required
+            for c in vertex_checks(eg, trial, tree.vertices & eg.internal)
+        ):
             active.discard(tau)
             pruned.append(tau)
 
@@ -99,6 +90,13 @@ def prune(
     )
 
 
+def cover_and_prune(eg: ExtendedGraph) -> AllocationResult:
+    """Cover, drop the noise-rooted trees, excite one root each, prune."""
+    covering, _ = algorithm1_merge(eg)
+    pi_s, _ = noise_rooted_filter(covering, eg)
+    return prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
+
+
 def allocate(eg: ExtendedGraph) -> AllocationResult:
     """Full allocation pipeline on a model's extended graph.
 
@@ -107,12 +105,10 @@ def allocate(eg: ExtendedGraph) -> AllocationResult:
     result escalates, first to every internal root in the covering, then to
     all internal vertices, and reports whatever first passes.
     """
-    covering, _ = algorithm1_merge(eg)
-    pi_s, _ = noise_rooted_filter(covering, eg)
-    r0 = select_roots(pi_s)
-    result = prune(eg, pi_s, r0, covering_used=covering)
+    result = cover_and_prune(eg)
     if result.verified:
         return result
+    covering = result.covering_used
 
     for fallback in (
         sorted({v for t in covering.trees for v in t.roots} & eg.internal),

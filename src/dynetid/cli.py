@@ -19,7 +19,6 @@ from typing import Any, Sequence
 
 from dynetid.allocation import allocate
 from dynetid.dual import InvalidDualModelError, select_measurements, measurement_bounds
-from dynetid.graph import max_vertex_disjoint_paths
 from dynetid.identifiability import check_generic_identifiability, excitation_bounds
 from dynetid.model import (
     ExtendedGraph,
@@ -310,26 +309,23 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     try:
         heuristic_size = len(algorithm1_merge(eg)[0].trees)
         kappa, _ = brute_min_covering(eg.graph, eg.parameterized_edges, budget)
-        paths = []
-        paths_agree = True
-        for j in sorted(eg.internal):
-            targets = extended_in_neighbors(eg, j)
-            if targets:
-                flow = max_vertex_disjoint_paths(eg.graph, eg.stimulated, targets)
-                brute = brute_disjoint_paths(eg.graph, eg.stimulated, targets, budget)
-            else:
-                flow = brute = 0
-            paths.append({"vertex": j, "flow": flow, "brute": brute})
-            paths_agree = paths_agree and flow == brute
+        rep = check_generic_identifiability(eg)
+        brute = [
+            brute_disjoint_paths(
+                eg.graph, eg.stimulated, extended_in_neighbors(eg, c.vertex), budget
+            )
+            if c.required
+            else 0
+            for c in rep.per_vertex
+        ]
     except BudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    identifiable_flow = all(
-        row["flow"] == len(extended_in_neighbors(eg, row["vertex"])) for row in paths
-    )
-    identifiable_brute = all(
-        row["brute"] == len(extended_in_neighbors(eg, row["vertex"])) for row in paths
-    )
+    checks = list(zip(rep.per_vertex, brute))
+    paths = [{"vertex": c.vertex, "flow": c.achieved, "brute": b} for c, b in checks]
+    paths_agree = all(c.achieved == b for c, b in checks)
+    identifiable_flow = rep.identifiable
+    identifiable_brute = all(b == c.required for c, b in checks)
     agree = paths_agree and identifiable_flow == identifiable_brute and kappa <= heuristic_size
     _emit(
         {

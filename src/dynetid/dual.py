@@ -5,8 +5,9 @@ and no noise model, the question becomes which vertices to measure, and the
 role of pseudotrees is taken over by anti-pseudotrees: connected simple
 digraphs with all out-degrees at most one, whose roots every other vertex
 reaches by exactly one path. Reversing every edge turns one problem into the
-other, so the implementation simply runs the primal pipeline on the reversed
-graph with zero noise channels and maps the results back.
+other, so the implementation runs the primal pipeline and the primal bounds
+(allocation.cover_and_prune, identifiability.excitation_bounds) on the
+reversed graph with zero noise channels and maps the results back.
 
 The input is an ordinary ModelSet. Its excitation pattern is ignored (every
 vertex counts as excited), it must have no noise columns (p = 0), and every
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynetid.graph import DiGraph, Edge, reverse, sources_and_sinks
+from dynetid.allocation import cover_and_prune
+from dynetid.graph import DiGraph, Edge, reverse
+from dynetid.identifiability import excitation_bounds
 from dynetid.model import EntryStatus, ExtendedGraph, InvalidModelError, ModelSet
-from dynetid.allocation import noise_rooted_filter, prune, select_roots
-from dynetid.pseudotree import Covering, algorithm1_merge
+from dynetid.pseudotree import Covering
 
 
 class InvalidDualModelError(InvalidModelError):
@@ -52,10 +54,6 @@ def _require_dual(m: ModelSet) -> None:
         raise InvalidDualModelError(violations)
 
 
-def _graph(m: ModelSet) -> DiGraph:
-    return DiGraph(frozenset(range(1, m.L + 1)), m.internal_edges())
-
-
 @dataclass(frozen=True)
 class AntiPseudotree:
     """Edges in the original orientation; roots are the measured endpoints."""
@@ -75,7 +73,7 @@ class DualSelection:
 
 
 def _reversed_extended(m: ModelSet) -> ExtendedGraph:
-    rev = reverse(_graph(m))
+    rev = reverse(DiGraph(frozenset(range(1, m.L + 1)), m.internal_edges()))
     return ExtendedGraph(
         graph=rev,
         L=m.L,
@@ -96,11 +94,8 @@ def select_measurements(m: ModelSet) -> DualSelection:
     roots are the vertices to measure.
     """
     _require_dual(m)
-    eg = _reversed_extended(m)
-    covering, _ = algorithm1_merge(eg)
-    pi_s, _ = noise_rooted_filter(covering, eg)
-    r0 = select_roots(pi_s)
-    result = prune(eg, pi_s, r0, covering_used=covering)
+    result = cover_and_prune(_reversed_extended(m))
+    covering = result.covering_used
     anti = tuple(
         AntiPseudotree(
             vertices=t.vertices,
@@ -125,13 +120,8 @@ def measurement_bounds(
 
     lower = max(sink count, largest out-neighborhood); upper = size of the
     anti-pseudotree covering, defaulting to the heuristic's output on the
-    reversed graph.
+    reversed graph. These are the excitation bounds of the reversed graph:
+    its sources are the sinks, its in-degrees the out-degrees, and p = 0.
     """
     _require_dual(m)
-    g = _graph(m)
-    _, sinks = sources_and_sinks(g)
-    max_outdeg = max((len(g.out_neighbors(v)) for v in g.vertices), default=0)
-    lower = max(len(sinks), max_outdeg)
-    if covering is None:
-        covering, _ = algorithm1_merge(_reversed_extended(m))
-    return lower, len(covering)
+    return excitation_bounds(_reversed_extended(m), covering)

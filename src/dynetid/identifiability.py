@@ -3,14 +3,17 @@
 The decision rule is purely graph-theoretic: the model set is generically
 identifiable exactly when, for every internal vertex j, the maximum number
 of vertex-disjoint paths from the stimulated set to j's parameterized
-in-neighborhood equals that in-neighborhood's size.
+in-neighborhood equals that in-neighborhood's size. vertex_checks is the
+one place that evaluates it; the reports here, allocation's per-tree prune
+test and the CLI's oracle comparison all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from dynetid.graph import max_vertex_disjoint_paths
+from dynetid.graph import max_vertex_disjoint_paths, sources_and_sinks
 from dynetid.model import ExtendedGraph, extended_in_neighbors
 from dynetid.pseudotree import Covering, algorithm1_merge
 
@@ -29,23 +32,28 @@ class IdentReport:
     failing_vertices: tuple[int, ...]
 
 
-def _report_for(eg: ExtendedGraph, stimulated: frozenset[int]) -> IdentReport:
-    checks = []
-    failing = []
-    for j in sorted(eg.internal):
+def vertex_checks(
+    eg: ExtendedGraph, stimulated: frozenset[int], vertices: Iterable[int]
+) -> Iterator[VertexCheck]:
+    """The path condition at each given internal vertex, in ascending order.
+
+    Lazy, so a caller that needs only whether every check passes can stop
+    at the first failure. A vertex without parameterized in-edges needs no
+    paths and runs no flow.
+    """
+    for j in sorted(vertices):
         targets = extended_in_neighbors(eg, j)
-        required = len(targets)
-        if required == 0:
-            achieved = 0
-        else:
-            achieved = max_vertex_disjoint_paths(eg.graph, stimulated, targets)
-        checks.append(VertexCheck(vertex=j, required=required, achieved=achieved))
-        if achieved != required:
-            failing.append(j)
+        achieved = (
+            max_vertex_disjoint_paths(eg.graph, stimulated, targets) if targets else 0
+        )
+        yield VertexCheck(vertex=j, required=len(targets), achieved=achieved)
+
+
+def _report_for(eg: ExtendedGraph, stimulated: frozenset[int]) -> IdentReport:
+    checks = tuple(vertex_checks(eg, stimulated, eg.internal))
+    failing = tuple(c.vertex for c in checks if c.achieved != c.required)
     return IdentReport(
-        identifiable=not failing,
-        per_vertex=tuple(checks),
-        failing_vertices=tuple(failing),
+        identifiable=not failing, per_vertex=checks, failing_vertices=failing
     )
 
 
@@ -79,11 +87,11 @@ def excitation_bounds(
     noise channels already root; the covering defaults to the merge
     heuristic's output.
     """
-    sources = sum(1 for v in eg.graph.vertices if not eg.graph.in_neighbors(v))
+    sources, _ = sources_and_sinks(eg.graph)
     max_indeg = max(
         (len(extended_in_neighbors(eg, j)) for j in eg.internal), default=0
     )
-    lower = max(0, max(sources, max_indeg) - eg.p)
+    lower = max(0, max(len(sources), max_indeg) - eg.p)
     if covering is None:
         covering, _ = algorithm1_merge(eg)
     return lower, len(covering) - eg.p

@@ -4,13 +4,15 @@ Everything here exists to cross-check the production code on small
 instances: exhaustive vertex-disjoint path packing, exact minimum disjoint
 pseudotree covering, and identifiability decided through the exhaustive
 path counter. All searches honor an explicit budget and abort with
-BudgetExceeded rather than run away.
+BudgetExceeded rather than run away; none of them recurses in Python, so
+a deep instance within budget is searched, not cut off by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from dynetid.graph import DiGraph, Edge
 from dynetid.model import ExtendedGraph, extended_in_neighbors
@@ -42,6 +44,22 @@ class _Meter:
         self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("search node budget exhausted")
+
+
+def _run_deep(call: Iterator) -> None:
+    """Run a recursive search on an explicit stack of generator frames.
+
+    Inside the search, `yield f(...)` stands for the recursive call
+    `f(...)`, so the depth is bounded by memory and the node budget, not
+    by the interpreter's recursion limit.
+    """
+    stack = [call]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
 
 
 def _check_instance(g: DiGraph, budget: OracleBudget) -> None:
@@ -79,18 +97,18 @@ def brute_disjoint_paths(
     meter = _Meter(budget.max_nodes_explored)
     found: set[frozenset[int]] = set()
 
-    def extend(v: int, seen: set[int]) -> None:
+    def extend(v: int, seen: set[int]) -> Iterator:
         meter.spend()
         if v in tgts:
             found.add(frozenset(seen))
         for w in sorted(g.out_neighbors(v)):
             if w not in seen:
                 seen.add(w)
-                extend(w, seen)
+                yield extend(w, seen)
                 seen.discard(w)
 
     for s in sorted(srcs):
-        extend(s, {s})
+        _run_deep(extend(s, {s}))
 
     # supersets of another path are never needed in a maximum packing
     candidates = sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -105,7 +123,7 @@ def brute_disjoint_paths(
     cap = min(len(srcs), len(tgts))
     best = 0
 
-    def pack(idx: int, used: int, count: int) -> None:
+    def pack(idx: int, used: int, count: int) -> Iterator:
         nonlocal best
         meter.spend()
         if count > best:
@@ -113,10 +131,10 @@ def brute_disjoint_paths(
         if best >= cap or idx == len(masks) or count + len(masks) - idx <= best:
             return
         if not masks[idx] & used:
-            pack(idx + 1, used | masks[idx], count + 1)
-        pack(idx + 1, used, count)
+            yield pack(idx + 1, used | masks[idx], count + 1)
+        yield pack(idx + 1, used, count)
 
-    pack(0, 0, 0)
+    _run_deep(pack(0, 0, 0))
     return best
 
 
@@ -167,7 +185,7 @@ def brute_min_covering(
     heads: list[set[int]] = []
     members: list[list[int]] = []
 
-    def assign(i: int) -> None:
+    def assign(i: int) -> Iterator:
         nonlocal best_k, best_classes
         meter.spend()
         if len(heads) >= best_k:
@@ -186,17 +204,17 @@ def brute_min_covering(
                 continue
             heads[c] |= block_heads
             members[c].append(i)
-            assign(i + 1)
+            yield assign(i + 1)
             members[c].pop()
             heads[c] -= block_heads
         if len(heads) + 1 < best_k:
             heads.append(set(block_heads))
             members.append([i])
-            assign(i + 1)
+            yield assign(i + 1)
             members.pop()
             heads.pop()
 
-    assign(0)
+    _run_deep(assign(0))
     trees = tuple(Pseudotree.from_edges(cl) for cl in best_classes)
     return best_k, Covering(trees=trees, host=g, target_edges=targets)
 

@@ -126,19 +126,14 @@ def is_mergeable(t1: Pseudotree, t2: Pseudotree) -> bool:
     """True when t1 can fold into t2.
 
     The union of the two trees must itself be a pseudotree and every root of
-    t2 must reach every vertex of t1 inside the union. Callers supply trees
-    that are disjoint in the covering sense; vertex-disjoint pairs fail the
-    connectivity test and come out False.
+    t2 must reach every vertex of t1 inside the union. A root of t2 already
+    reaches all of t2, so that holds exactly when every root of t2 is a root
+    of the union. Callers supply trees that are disjoint in the covering
+    sense; vertex-disjoint pairs fail the connectivity test and come out
+    False.
     """
-    union_v = t1.vertices | t2.vertices
-    union_e = t1.edges | t2.edges
-    ok, _ = is_pseudotree(union_v, union_e)
-    if not ok:
-        return False
-    succ: dict[int, list[int]] = {v: [] for v in union_v}
-    for t, h in union_e:
-        succ[t].append(h)
-    return all(t1.vertices <= _reachable(succ, r) for r in t2.roots)
+    ok, roots = is_pseudotree(t1.vertices | t2.vertices, t1.edges | t2.edges)
+    return ok and t2.roots <= roots
 
 
 # ---- coverings ----
@@ -392,47 +387,38 @@ def _empties_in_row(m: CharMatrix, r: int) -> int:
     return sum(m.entry(r, c) is CharEntry.EMPTY for c in range(1, m.n + 1))
 
 
+def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
+    """The (row, column) to merge next, or None when no row qualifies.
+
+    A row qualifies with exactly one One when forced, else with any One.
+    The row with the most Empties wins, ties going to the lowest index; it
+    folds into its lowest One column.
+    """
+    best: tuple[int, int, int] | None = None
+    for r in range(1, m.n + 1):
+        ones = _ones_in_row(m, r)
+        qualifies = len(ones) == 1 if forced else bool(ones)
+        if not qualifies:
+            continue
+        empties = _empties_in_row(m, r)
+        if best is None or empties > best[0]:
+            best = (empties, r, ones[0])
+    return None if best is None else best[1:]
+
+
 def _run_merge_policy(
     m: CharMatrix, advance: Callable[[CharMatrix, int, int], CharMatrix]
 ) -> tuple[CharMatrix, list[tuple[int, int]]]:
     """Two-phase merge selection; advance() yields the post-merge matrix.
 
-    Phase one handles forced rows (exactly one One) most-Empty-first, phase
-    two spends the remaining Ones the same way; both break ties toward the
-    lowest row index, and phase two folds into the lowest One column.
+    Phase one merges forced rows (exactly one One) until none is left, then
+    phase two spends the remaining Ones; _pick_row chooses every step.
     """
     trace: list[tuple[int, int]] = []
-
-    def step(r: int, c: int) -> CharMatrix:
-        trace.append((r, c))
-        return advance(m, r, c)
-
-    while True:
-        best: tuple[int, int, int] | None = None
-        for r in range(1, m.n + 1):
-            ones = _ones_in_row(m, r)
-            if len(ones) != 1:
-                continue
-            empties = _empties_in_row(m, r)
-            if best is None or empties > best[0]:
-                best = (empties, r, ones[0])
-        if best is None:
-            break
-        m = step(best[1], best[2])
-
-    while True:
-        best = None
-        for r in range(1, m.n + 1):
-            ones = _ones_in_row(m, r)
-            if not ones:
-                continue
-            empties = _empties_in_row(m, r)
-            if best is None or empties > best[0]:
-                best = (empties, r, ones[0])
-        if best is None:
-            break
-        m = step(best[1], best[2])
-
+    for forced in (True, False):
+        while (pick := _pick_row(m, forced)) is not None:
+            trace.append(pick)
+            m = advance(m, *pick)
     return m, trace
 
 

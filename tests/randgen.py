@@ -2,7 +2,8 @@
 
 All generators take a random.Random so every test run is reproducible from
 its seed. Sizes stay inside the oracle budget (7 vertices, 12 edges) so the
-brute-force references can always be consulted.
+brute-force references can always be consulted, except random_sparse_model,
+which feeds the medium-scale tests.
 """
 
 import itertools
@@ -126,6 +127,18 @@ def random_all_param_edges(rng: random.Random, max_vertices: int = 6):
         count = rng.randint(1, min(10, len(pool)))
         return n, rng.sample(pool, count)
     raise RuntimeError("unreachable")
+
+
+def random_sparse_model(rng: random.Random, L: int) -> ModelSet:
+    """An all-parameterized, noise-free model on L vertices, each with up to
+    three out-edges (a drawn self-loop is dropped), and a third of the
+    vertices excited. It fits both the excitation and the measurement
+    problem.
+    """
+    edges = sorted(
+        (t, h) for t in range(1, L + 1) for h in rng.sample(range(1, L + 1), 3) if h != t
+    )
+    return ModelSet.from_edges(L, edges, excited=rng.sample(range(1, L + 1), L // 3))
 
 
 def nonisomorphic_stream(rng: random.Random, make, key, want: int):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report payloads, DOT export."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -282,6 +283,21 @@ class TestOracleCompareCommand:
         assert out == ""
         assert "budget exceeded" in err
 
+    def test_deep_chain_is_searched(self, tmp_path, capsys):
+        # the path from 1 is deeper than the interpreter's default
+        # recursion limit of 1000
+        L = 1200
+        edges = [(i, i + 1, K) for i in range(1, L - 1)] + [(L - 1, L, P)]
+        m = ModelSet.from_edges(L, edges, excited=[1])
+        code, out, err = run(
+            capsys, ["oracle-compare", write_model(tmp_path, m), "--budget", "1300"]
+        )
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["paths"][-1] == {"vertex": L, "flow": 1, "brute": 1}
+        assert result["kappa_oracle"] == result["heuristic_size"] == 1
+        assert result["agree"] is True
+
     def test_disagreement_exits_6(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "brute_disjoint_paths", lambda *a, **k: 0)
         code, out, _ = run(
@@ -320,10 +336,17 @@ class TestReportPlumbing:
 
     def test_module_entry_point(self, tmp_path):
         path = write_model(tmp_path, diamond_model())
+        # the child imports the same dynetid this process did, installed or not
+        src_root = os.path.dirname(os.path.dirname(dynetid.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "dynetid", "validate", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["ok"] is True

@@ -1,0 +1,41 @@
+"""Seeded medium-scale checks of both selection pipelines.
+
+The property tests elsewhere stop at 7 vertices so the brute-force oracle
+can referee them. These models are an order of magnitude larger and sparse,
+like the networks the pipeline is meant for, so the merge heuristic runs
+many passes and pruning has many roots to drop; the checks are the ones
+that need no oracle.
+"""
+
+import random
+
+import pytest
+
+from dynetid.allocation import allocate
+from dynetid.dual import measurement_bounds, select_measurements
+from dynetid.identifiability import check_with_excitations, excitation_bounds
+from dynetid.model import build_extended_graph
+from dynetid.pseudotree import covering_violations
+
+from .randgen import random_sparse_model
+
+SIZES = (50, 60, 70, 85, 100)
+
+
+@pytest.mark.parametrize("L", SIZES)
+def test_both_selections_are_verified_and_bounded(L):
+    m = random_sparse_model(random.Random(f"medium/{L}"), L)
+    eg = build_extended_graph(m)
+
+    result = allocate(eg)
+    assert result.verified
+    assert check_with_excitations(eg, result.excited).identifiable
+    assert covering_violations(result.covering_used) == ()
+    lower, upper = excitation_bounds(eg, result.covering_used)
+    assert lower <= len(result.excited) <= upper
+
+    sel = select_measurements(m)
+    assert sel.verified
+    assert covering_violations(sel.reversed_covering) == ()
+    lower, upper = measurement_bounds(m, sel.reversed_covering)
+    assert lower <= len(sel.measured) <= upper

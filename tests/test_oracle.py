@@ -157,3 +157,30 @@ class TestBudget:
     def test_budget_limits_validated(self):
         with pytest.raises(ValueError):
             OracleBudget(max_vertices=0)
+
+
+CHAIN = 1200  # deeper than the interpreter's default recursion limit of 1000
+
+
+def chain(n: int) -> DiGraph:
+    return DiGraph.of(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+
+
+class TestDeepInstances:
+    WIDE = OracleBudget(max_vertices=CHAIN, max_edges=CHAIN, max_nodes_explored=200_000)
+
+    def test_one_path_along_a_long_chain(self):
+        assert brute_disjoint_paths(chain(CHAIN), {1}, {CHAIN}, self.WIDE) == 1
+
+    def test_long_chain_is_one_tree(self):
+        g = chain(CHAIN)
+        kappa, c = brute_min_covering(g, g.edges, self.WIDE)
+        assert kappa == 1
+        assert covering_violations(c) == ()
+
+    def test_node_meter_aborts_a_deep_search(self):
+        tight = OracleBudget(max_vertices=CHAIN, max_edges=CHAIN, max_nodes_explored=CHAIN // 2)
+        with pytest.raises(BudgetExceeded):
+            brute_disjoint_paths(chain(CHAIN), {1}, {CHAIN}, tight)
+        with pytest.raises(BudgetExceeded):
+            brute_min_covering(chain(CHAIN), chain(CHAIN).edges, tight)

@@ -426,6 +426,48 @@ class TestMatrixCoveringConsistency:
         assert char_matrix_from_adjacency(g, targets) == direct
 
 
+def _reach(edges, start: int) -> set[int]:
+    succ: dict[int, list[int]] = {}
+    for t, h in edges:
+        succ.setdefault(t, []).append(h)
+    seen, stack = {start}, [start]
+    while stack:
+        for w in succ.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+class TestMergeabilityDefinition:
+    @given(SEEDS)
+    @settings(max_examples=150, deadline=None)
+    def test_is_mergeable_matches_the_definition(self, seed):
+        # t1 folds into t2 when their union is a pseudotree and every root
+        # of t2 reaches every vertex of t1 inside the union. Checked for
+        # every ordered pair of trees along a random merge walk, which
+        # moves only along the pairs the definition allows.
+        rng = random.Random(seed)
+        eg = build_extended_graph(random_model(rng, max_vertices=7))
+        assume(eg.parameterized_edges)
+        c = initial_covering(eg)
+        while True:
+            legal = []
+            for i, t1 in enumerate(c.trees, start=1):
+                for j, t2 in enumerate(c.trees, start=1):
+                    if i == j:
+                        continue
+                    union = t1.edges | t2.edges
+                    ok, _ = is_pseudotree(t1.vertices | t2.vertices, union)
+                    want = ok and all(t1.vertices <= _reach(union, r) for r in t2.roots)
+                    assert is_mergeable(t1, t2) is want
+                    if want:
+                        legal.append((i, j))
+            if not legal:
+                break
+            c = merge_trees(c, *rng.choice(legal))
+
+
 class TestAlgorithmOneProperties:
     @given(SEEDS)
     @settings(max_examples=100, deadline=None)
