@@ -4,6 +4,10 @@ Reports are fully deterministic: no timestamps, no absolute paths, stable
 key order, so repeated runs on the same input are byte-identical. All
 diagnostics go to stderr; the report goes to stdout or --out.
 
+main loads the model, runs the command and builds the report envelope
+({"command", "input_digest", "result"}) in one place; every error exit is
+mapped there too. A command only computes its result payload and exit code.
+
 Exit codes: 0 ok, 1 unreadable or malformed input, 2 invalid model,
 3 not identifiable, 4 no verified allocation, 5 oracle budget exceeded,
 6 oracle disagreement.
@@ -18,7 +22,7 @@ import sys
 from typing import Any, Sequence
 
 from dynetid.allocation import allocate
-from dynetid.dual import InvalidDualModelError, select_measurements, measurement_bounds
+from dynetid.dual import select_measurements
 from dynetid.identifiability import check_generic_identifiability, excitation_bounds
 from dynetid.model import (
     ExtendedGraph,
@@ -93,14 +97,6 @@ def _load(args: argparse.Namespace) -> tuple[ModelSet, str]:
     return parse_model(text), input_digest(data)
 
 
-def _invalid_report(command: str, digest: str, violations: Sequence[str]) -> dict:
-    return {
-        "command": command,
-        "input_digest": digest,
-        "result": {"ok": False, "violations": list(violations)},
-    }
-
-
 # ---- DOT export ----
 
 
@@ -139,55 +135,21 @@ def covering_to_dot(eg: ExtendedGraph, covering: Covering) -> str:
 # ---- commands ----
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    m, digest = _load(args)
-    report = validate(m)
-    _emit(
-        {
-            "command": "validate",
-            "input_digest": digest,
-            "result": {"ok": report.ok, "violations": list(report.violations)},
-        },
-        args,
-    )
-    return EXIT_OK if report.ok else EXIT_INVALID
+class _UsageError(Exception):
+    """A command-line value the parser accepts but the command cannot use."""
 
 
-def _gate(
-    command: str, args: argparse.Namespace
-) -> tuple[ModelSet, ExtendedGraph, str] | int:
-    """Load and validate the model once; an invalid one ends in its report."""
-    m, digest = _load(args)
-    try:
-        eg = build_extended_graph(m)
-    except InvalidModelError as exc:
-        _emit(_invalid_report(command, digest, exc.violations), args)
-        return EXIT_INVALID
-    return m, eg, digest
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    gated = _gate("check", args)
-    if isinstance(gated, int):
-        return gated
-    _, eg, digest = gated
+def _cmd_check(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     rep = check_generic_identifiability(eg)
-    _emit(
-        {
-            "command": "check",
-            "input_digest": digest,
-            "result": {
-                "identifiable": rep.identifiable,
-                "per_vertex": [
-                    {"vertex": c.vertex, "required": c.required, "achieved": c.achieved}
-                    for c in rep.per_vertex
-                ],
-                "failing": list(rep.failing_vertices),
-            },
-        },
-        args,
-    )
-    return EXIT_OK if rep.identifiable else EXIT_NOT_IDENTIFIABLE
+    result = {
+        "identifiable": rep.identifiable,
+        "per_vertex": [
+            {"vertex": c.vertex, "required": c.required, "achieved": c.achieved}
+            for c in rep.per_vertex
+        ],
+        "failing": list(rep.failing_vertices),
+    }
+    return result, EXIT_OK if rep.identifiable else EXIT_NOT_IDENTIFIABLE
 
 
 def _covering_payload(covering: Covering) -> list[dict]:
@@ -201,35 +163,20 @@ def _covering_payload(covering: Covering) -> list[dict]:
     ]
 
 
-def _cmd_cover(args: argparse.Namespace) -> int:
-    gated = _gate("cover", args)
-    if isinstance(gated, int):
-        return gated
-    _, eg, digest = gated
+def _cmd_cover(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     covering, trace = algorithm1_merge(eg)
-    _emit(
-        {
-            "command": "cover",
-            "input_digest": digest,
-            "result": {
-                "tree_count": len(covering.trees),
-                "trace": [list(step) for step in trace],
-                "trees": _covering_payload(covering),
-            },
-        },
-        args,
-    )
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(covering_to_dot(eg, covering))
-    return EXIT_OK
+    result = {
+        "tree_count": len(covering.trees),
+        "trace": [list(step) for step in trace],
+        "trees": _covering_payload(covering),
+    }
+    return result, EXIT_OK
 
 
-def _cmd_allocate(args: argparse.Namespace) -> int:
-    gated = _gate("allocate", args)
-    if isinstance(gated, int):
-        return gated
-    _, eg, digest = gated
+def _cmd_allocate(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     result = allocate(eg)
     lower, upper = excitation_bounds(eg, result.covering_used)
     payload = {
@@ -241,21 +188,14 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     }
     if not result.verified:
         payload["reason"] = "no excitation set passed verification"
-    _emit({"command": "allocate", "input_digest": digest, "result": payload}, args)
-    return EXIT_OK if result.verified else EXIT_UNSATISFIABLE
+    return payload, EXIT_OK if result.verified else EXIT_UNSATISFIABLE
 
 
-def _cmd_allocate_measurements(args: argparse.Namespace) -> int:
-    gated = _gate("allocate-measurements", args)
-    if isinstance(gated, int):
-        return gated
-    m, _, digest = gated
-    try:
-        selection = select_measurements(m)
-    except InvalidDualModelError as exc:
-        _emit(_invalid_report("allocate-measurements", digest, exc.violations), args)
-        return EXIT_INVALID
-    lower, upper = measurement_bounds(m, selection.reversed_covering)
+def _cmd_allocate_measurements(
+    m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace
+) -> tuple[dict, int]:
+    selection = select_measurements(m)
+    lower, upper = selection.bounds
     payload = {
         "measured": list(selection.measured),
         "pruned": list(selection.pruned),
@@ -265,85 +205,85 @@ def _cmd_allocate_measurements(args: argparse.Namespace) -> int:
     }
     if not selection.verified:
         payload["reason"] = "no measurement set passed verification"
-    _emit(
-        {"command": "allocate-measurements", "input_digest": digest, "result": payload},
-        args,
-    )
-    return EXIT_OK if selection.verified else EXIT_UNSATISFIABLE
+    return payload, EXIT_OK if selection.verified else EXIT_UNSATISFIABLE
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    gated = _gate("bounds", args)
-    if isinstance(gated, int):
-        return gated
-    _, eg, digest = gated
+def _cmd_bounds(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     covering, _ = algorithm1_merge(eg)
     lower, upper = excitation_bounds(eg, covering)
-    _emit(
-        {
-            "command": "bounds",
-            "input_digest": digest,
-            "result": {
-                "lower": lower,
-                "upper": upper,
-                "covering_size": len(covering.trees),
-                "noise_channels": eg.p,
-            },
-        },
-        args,
-    )
-    return EXIT_OK
+    result = {
+        "lower": lower,
+        "upper": upper,
+        "covering_size": len(covering.trees),
+        "noise_channels": eg.p,
+    }
+    return result, EXIT_OK
 
 
-def _cmd_oracle_compare(args: argparse.Namespace) -> int:
-    gated = _gate("oracle-compare", args)
-    if isinstance(gated, int):
-        return gated
-    _, eg, digest = gated
+def _cmd_oracle_compare(
+    m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace
+) -> tuple[dict, int]:
     if args.budget < 1:
-        print("error: --budget must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
+        raise _UsageError("--budget must be at least 1")
     budget = OracleBudget(
         max_vertices=args.budget, max_edges=max(0, 2 * args.budget - 2)
     )
-    try:
-        heuristic_size = len(algorithm1_merge(eg)[0].trees)
-        kappa, _ = brute_min_covering(eg.graph, eg.parameterized_edges, budget)
-        rep = check_generic_identifiability(eg)
-        brute = [
-            brute_disjoint_paths(
-                eg.graph, eg.stimulated, extended_in_neighbors(eg, c.vertex), budget
-            )
-            if c.required
-            else 0
-            for c in rep.per_vertex
-        ]
-    except BudgetExceeded as exc:
-        print(f"oracle budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    heuristic_size = len(algorithm1_merge(eg)[0].trees)
+    kappa, _ = brute_min_covering(eg.graph, eg.parameterized_edges, budget)
+    rep = check_generic_identifiability(eg)
+    brute = [
+        brute_disjoint_paths(
+            eg.graph, eg.stimulated, extended_in_neighbors(eg, c.vertex), budget
+        )
+        if c.required
+        else 0
+        for c in rep.per_vertex
+    ]
     checks = list(zip(rep.per_vertex, brute))
     paths = [{"vertex": c.vertex, "flow": c.achieved, "brute": b} for c, b in checks]
     paths_agree = all(c.achieved == b for c, b in checks)
     identifiable_flow = rep.identifiable
     identifiable_brute = all(b == c.required for c, b in checks)
     agree = paths_agree and identifiable_flow == identifiable_brute and kappa <= heuristic_size
-    _emit(
-        {
-            "command": "oracle-compare",
-            "input_digest": digest,
-            "result": {
-                "kappa_oracle": kappa,
-                "heuristic_size": heuristic_size,
-                "paths": paths,
-                "paths_agree": paths_agree,
-                "identifiable_flow": identifiable_flow,
-                "identifiable_brute": identifiable_brute,
-                "agree": agree,
-            },
-        },
-        args,
+    result = {
+        "kappa_oracle": kappa,
+        "heuristic_size": heuristic_size,
+        "paths": paths,
+        "paths_agree": paths_agree,
+        "identifiable_flow": identifiable_flow,
+        "identifiable_brute": identifiable_brute,
+        "agree": agree,
+    }
+    return result, EXIT_OK if agree else EXIT_DISAGREEMENT
+
+
+_HANDLERS = {
+    "check": _cmd_check,
+    "cover": _cmd_cover,
+    "allocate": _cmd_allocate,
+    "allocate-measurements": _cmd_allocate_measurements,
+    "bounds": _cmd_bounds,
+    "oracle-compare": _cmd_oracle_compare,
+}
+
+
+def _run(args: argparse.Namespace, m: ModelSet) -> tuple[dict, int]:
+    """Validate the model once, then run the command on it.
+
+    validate reads only the rules, so it never builds the extended graph.
+    Any other command that meets an invalid model, including one outside
+    the measurement-selection setting, reports the violations instead.
+    """
+    if args.command == "validate":
+        violations = validate(m).violations
+    else:
+        try:
+            return _HANDLERS[args.command](m, build_extended_graph(m), args)
+        except InvalidModelError as exc:
+            violations = exc.violations
+    return {"ok": not violations, "violations": list(violations)}, (
+        EXIT_INVALID if violations else EXIT_OK
     )
-    return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
 # ---- entry point ----
@@ -375,24 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "check": _cmd_check,
-    "cover": _cmd_cover,
-    "allocate": _cmd_allocate,
-    "allocate-measurements": _cmd_allocate_measurements,
-    "bounds": _cmd_bounds,
-    "oracle-compare": _cmd_oracle_compare,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (OSError, ModelFileError) as exc:
+        m, digest = _load(args)
+        result, code = _run(args, m)
+        _emit({"command": args.command, "input_digest": digest, "result": result}, args)
+    except (OSError, ModelFileError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BudgetExceeded as exc:
+        print(f"oracle budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    return code
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ class DualSelection:
     reversed_covering: Covering
     pruned: tuple[int, ...]
     verified: bool
+    bounds: tuple[int, int]
 
 
 def _reversed_extended(m: ModelSet) -> ExtendedGraph:
@@ -91,10 +92,12 @@ def select_measurements(m: ModelSet) -> DualSelection:
 
     Runs covering, root selection and pruning on the reversed graph; a
     reversed pseudotree is an anti-pseudotree of the original graph and its
-    roots are the vertices to measure.
+    roots are the vertices to measure. bounds are measurement_bounds(m,
+    reversed_covering), read from the same reversed graph.
     """
     _require_dual(m)
-    result = cover_and_prune(_reversed_extended(m))
+    rev = _reversed_extended(m)
+    result = cover_and_prune(rev)
     covering = result.covering_used
     anti = tuple(
         AntiPseudotree(
@@ -110,6 +113,7 @@ def select_measurements(m: ModelSet) -> DualSelection:
         reversed_covering=covering,
         pruned=result.pruned,
         verified=result.verified,
+        bounds=excitation_bounds(rev, covering),
     )
 
 

@@ -379,14 +379,6 @@ def reduce(m: CharMatrix, i: int, j: int) -> CharMatrix:
 # ---- the merge heuristic ----
 
 
-def _ones_in_row(m: CharMatrix, r: int) -> list[int]:
-    return [c for c in range(1, m.n + 1) if m.entry(r, c) is CharEntry.ONE]
-
-
-def _empties_in_row(m: CharMatrix, r: int) -> int:
-    return sum(m.entry(r, c) is CharEntry.EMPTY for c in range(1, m.n + 1))
-
-
 def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
     """The (row, column) to merge next, or None when no row qualifies.
 
@@ -395,12 +387,12 @@ def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
     folds into its lowest One column.
     """
     best: tuple[int, int, int] | None = None
-    for r in range(1, m.n + 1):
-        ones = _ones_in_row(m, r)
+    for r, row in enumerate(m.entries, start=1):
+        ones = [c for c, e in enumerate(row, start=1) if e is CharEntry.ONE]
         qualifies = len(ones) == 1 if forced else bool(ones)
         if not qualifies:
             continue
-        empties = _empties_in_row(m, r)
+        empties = row.count(CharEntry.EMPTY)
         if best is None or empties > best[0]:
             best = (empties, r, ones[0])
     return None if best is None else best[1:]

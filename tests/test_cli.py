@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import dynetid.cli as cli
+import dynetid.dual
 import dynetid.model
 from dynetid.allocation import AllocationResult
 from dynetid.cli import main
@@ -237,6 +238,7 @@ class TestAllocateMeasurementsCommand:
             reversed_covering=empty_covering(),
             pruned=(),
             verified=False,
+            bounds=(1, 0),
         )
         monkeypatch.setattr(cli, "select_measurements", lambda m: fake)
         m = ModelSet.from_edges(3, [(1, 2), (2, 3)])
@@ -275,6 +277,17 @@ class TestOracleCompareCommand:
         )
         assert code == 1
         assert "--budget must be at least 1" in err
+
+    def test_invalid_model_gates_before_budget_flag(self, tmp_path, capsys):
+        m = ModelSet.from_edges(2, [(1, 1), (1, 2)])
+        code, out, err = run(
+            capsys, ["oracle-compare", write_model(tmp_path, m), "--budget", "0"]
+        )
+        assert (code, err) == (2, "")
+        assert json.loads(out)["result"] == {
+            "ok": False,
+            "violations": ["self-loop module at vertex 1"],
+        }
 
     def test_over_budget_exits_5(self, tmp_path, capsys):
         m = ModelSet.from_edges(8, [(1, 2)], excited=[1])
@@ -319,6 +332,16 @@ class TestReportPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(report_path.read_text(encoding="utf-8"))["result"]["ok"]
+
+    @pytest.mark.parametrize("command, flag", [("check", "--out"), ("cover", "--emit-dot")])
+    def test_unwritable_output_path(self, tmp_path, capsys, command, flag):
+        target = tmp_path / "missing" / "file"
+        code, out, err = run(
+            capsys, [command, write_model(tmp_path, diamond_model()), flag, str(target)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.parent.exists()
 
     def test_text_format(self, tmp_path, capsys):
         code, out, _ = run(
@@ -379,3 +402,28 @@ class TestValidationCount:
         code, _, _ = run(capsys, [command, write_model(tmp_path, diamond_model())])
         assert code == 0
         assert len(calls) == 1
+
+    def test_validate_builds_no_extended_graph(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_extended_graph", built.append)
+        code, _, _ = run(capsys, ["validate", write_model(tmp_path, diamond_model())])
+        assert (code, built) == (0, [])
+
+    def test_allocate_measurements_reads_the_dual_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(dynetid.dual, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(dynetid.dual, name, wrapper)
+
+        counting("validate_dual")
+        counting("_reversed_extended")
+        m = ModelSet.from_edges(3, [(1, 2), (2, 3)])
+        code, _, _ = run(capsys, ["allocate-measurements", write_model(tmp_path, m)])
+        assert code == 0
+        assert sorted(calls) == ["_reversed_extended", "validate_dual"]

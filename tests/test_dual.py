@@ -170,3 +170,4 @@ class TestMeasurementBounds:
         sel = select_measurements(m)
         lower, upper = measurement_bounds(m)
         assert lower <= len(sel.measured) <= upper
+        assert sel.bounds == measurement_bounds(m, sel.reversed_covering)
