@@ -2,13 +2,16 @@
 
 Vertices are arbitrary positive integers; nothing requires them to be
 contiguous. Graphs are immutable after construction and every operation is a
-pure function, so values can be shared freely. All iteration is in ascending
-id order to keep downstream reports deterministic.
+pure function, so values can be shared freely. The one mutable thing a
+graph holds is its flow kernel, which max_vertex_disjoint_paths builds on
+first use and restores after every call: a cache that no result,
+comparison, hash or repr can observe. Counting paths on one graph from two
+threads at once is not supported. All iteration is in ascending id order to
+keep downstream reports deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -27,6 +30,9 @@ class DiGraph:
     )
     _pred: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, hash=False
+    )
+    _kernel: _SplitGraph | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self) -> None:
@@ -83,6 +89,89 @@ def reverse(g: DiGraph) -> DiGraph:
     return DiGraph(g.vertices, frozenset((h, t) for t, h in g.edges))
 
 
+class _SplitGraph:
+    """The residual network of a graph's vertex-split graph.
+
+    Vertex i in sorted-id order is node 2i (in) and node 2i + 1 (out). Arc k
+    runs to head[k], and arc k ^ 1 is its reverse. The even arcs are the real
+    ones, each of capacity one: v_in -> v_out for every vertex and
+    t_out -> h_in for every edge. The odd arcs are their residual partners,
+    of capacity zero. Every count leaves the capacities as it found them.
+    """
+
+    __slots__ = ("index", "head", "arcs", "cap")
+
+    def __init__(self, g: DiGraph) -> None:
+        self.index = {v: i for i, v in enumerate(sorted(g.vertices))}
+        pairs = [(2 * i, 2 * i + 1) for i in range(len(self.index))]
+        pairs += [(2 * self.index[t] + 1, 2 * self.index[h]) for t, h in sorted(g.edges)]
+        arcs: list[list[int]] = [[] for _ in range(2 * len(self.index))]
+        head: list[int] = []
+        for a, b in pairs:
+            arcs[a].append(len(head))
+            head.append(b)
+            arcs[b].append(len(head))
+            head.append(a)
+        self.head = head
+        self.arcs = [tuple(ks) for ks in arcs]
+        self.cap = [1, 0] * len(pairs)
+
+    def count(self, sources: frozenset[int], targets: frozenset[int]) -> int:
+        """Augment from the free sources to the free targets until no path is
+        left or every source or every target is used. A source is free until
+        a path starts at it, a target until a path ends at it."""
+        index, head, cap = self.index, self.head, self.cap
+        free_src = {2 * index[v] for v in sources}
+        free_tgt = {2 * index[v] + 1 for v in targets}
+        goal = min(len(free_src), len(free_tgt))
+        touched: list[int] = []
+        flow = 0
+        try:
+            while flow < goal:
+                found = self._search(free_src, free_tgt)
+                if found is None:
+                    break
+                node, via = found
+                free_src.remove(node)
+                k = via[node]
+                while k >= 0:
+                    cap[k] -= 1
+                    cap[k ^ 1] += 1
+                    touched.append(k)
+                    node = head[k]
+                    k = via[node]
+                free_tgt.remove(node)
+                flow += 1
+        finally:
+            for k in touched:
+                cap[k & ~1] = 1
+                cap[k | 1] = 0
+        return flow
+
+    def _search(
+        self, free_src: set[int], free_tgt: set[int]
+    ) -> tuple[int, dict[int, int]] | None:
+        """Breadth-first search backward over residual arcs from every free
+        target. Returns the first free source reached, with the arc by which
+        each visited node steps toward a target (-1 at the targets).
+
+        The search starts from the targets because they are the small side:
+        a path check's targets are one vertex's in-neighbourhood, while its
+        sources can be half the graph."""
+        head, arcs, cap = self.head, self.arcs, self.cap
+        via = dict.fromkeys(free_tgt, -1)
+        queue = list(free_tgt)
+        for b in queue:
+            for k in arcs[b]:
+                a = head[k]
+                if cap[k ^ 1] and a not in via:
+                    via[a] = k ^ 1
+                    if a in free_src:
+                        return a, via
+                    queue.append(a)
+        return None
+
+
 def max_vertex_disjoint_paths(
     g: DiGraph, sources: Iterable[int], targets: Iterable[int]
 ) -> int:
@@ -92,64 +181,23 @@ def max_vertex_disjoint_paths(
     both sets counts as a zero-length path that occupies just that vertex.
 
     Computed as max-flow on the split graph: each vertex v becomes an arc
-    v_in -> v_out of capacity one, so no two paths can share v; a super source
-    feeds every source's v_in and every target's v_out drains into a super
-    sink. The zero-length convention falls out of the construction.
+    v_in -> v_out of capacity one, so no two paths can share v, and a path
+    starts at a source's v_in and ends at a target's v_out. The zero-length
+    convention falls out of the construction. The split graph is built once
+    per graph, on its first call, and kept on the graph. Each call searches
+    backward from its free targets to the nearest free source, augments
+    along the path found, and stops as soon as the flow reaches
+    min(|sources|, |targets|), so a vertex whose check passes never pays for
+    a failing search. On return the call undoes the arcs it touched, and
+    only those.
     """
     src = frozenset(sources)
     tgt = frozenset(targets)
-    for v in src | tgt:
-        g._require(v)
+    if not (src <= g.vertices and tgt <= g.vertices):
+        for v in src | tgt:
+            g._require(v)
     if not src or not tgt:
         return 0
-
-    # Node numbering: 0 = super source, 1 = super sink, then 2v / 2v+1 for
-    # v_in / v_out. Ids are sparse; dict adjacency handles that.
-    SS, TT = 0, 1
-
-    def n_in(v: int) -> int:
-        return 2 * v
-
-    def n_out(v: int) -> int:
-        return 2 * v + 1
-
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, set[int]] = {}
-
-    def arc(a: int, b: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + 1
-        cap.setdefault((b, a), 0)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for v in g.vertices:
-        arc(n_in(v), n_out(v))
-    for t, h in g.edges:
-        arc(n_out(t), n_in(h))
-    for v in src:
-        arc(SS, n_in(v))
-    for v in tgt:
-        arc(n_out(v), TT)
-
-    # Unit capacities: each BFS augmentation adds one path, at most
-    # min(|sources|, |targets|) rounds.
-    order = {node: tuple(sorted(nbrs)) for node, nbrs in adj.items()}
-    flow = 0
-    while True:
-        parent: dict[int, int] = {SS: SS}
-        queue = deque([SS])
-        while queue and TT not in parent:
-            a = queue.popleft()
-            for b in order.get(a, ()):
-                if b not in parent and cap[(a, b)] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if TT not in parent:
-            return flow
-        b = TT
-        while b != SS:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
+    if g._kernel is None:
+        object.__setattr__(g, "_kernel", _SplitGraph(g))
+    return g._kernel.count(src, tgt)

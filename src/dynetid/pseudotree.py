@@ -70,7 +70,12 @@ def is_pseudotree(
     Roots are the vertices with exactly one directed path to every other
     vertex. Under the in-degree bound any existing path is unique (walking
     in-edges backward from the endpoint is deterministic), so the root set
-    is simply the set of vertices that reach all others.
+    is simply the set of vertices that reach all others. A connected graph
+    with in-degree at most one has |V| - 1 edges or |V|. With |V| - 1 it is
+    a tree, rooted at its one vertex of in-degree zero. With |V| every vertex
+    has one in-edge, and walking in-edges backward from any vertex ends on
+    the one cycle; every cycle vertex reaches the whole graph and no other
+    vertex reaches the cycle, so the roots are the cycle's vertices.
     """
     vs = frozenset(vertices)
     es = frozenset(edges)
@@ -79,22 +84,25 @@ def is_pseudotree(
             raise ValueError("subgraph is not contained in the host graph")
     if len(vs) < 2:
         return False, frozenset()
-    indeg = {v: 0 for v in vs}
-    succ: dict[int, list[int]] = {v: [] for v in vs}
+    pred: dict[int, int] = {}
     und: dict[int, list[int]] = {v: [] for v in vs}
     for t, h in es:
-        if t == h or t not in vs or h not in vs:
+        if t == h or t not in vs or h not in vs or h in pred:
             return False, frozenset()
-        indeg[h] += 1
-        if indeg[h] > 1:
-            return False, frozenset()
-        succ[t].append(h)
+        pred[h] = t
         und[t].append(h)
         und[h].append(t)
     if _reachable(und, min(vs)) != vs:
         return False, frozenset()
-    roots = frozenset(v for v in vs if len(_reachable(succ, v)) == len(vs))
-    return True, roots
+    if len(es) < len(vs):
+        return True, vs.difference(pred)
+    v = min(vs)
+    for _ in vs:
+        v = pred[v]
+    cycle = [v]
+    while pred[cycle[-1]] != v:
+        cycle.append(pred[cycle[-1]])
+    return True, frozenset(cycle)
 
 
 @dataclass(frozen=True)
@@ -177,10 +185,10 @@ def initial_covering(eg: ExtendedGraph) -> Covering:
     targets = eg.parameterized_edges
     if not targets:
         raise ValueError("no parameterized edges to cover")
-    tails = sorted({t for t, _ in targets})
-    trees = tuple(
-        Pseudotree.from_edges(e for e in targets if e[0] == v) for v in tails
-    )
+    by_tail: dict[int, list[Edge]] = {}
+    for e in targets:
+        by_tail.setdefault(e[0], []).append(e)
+    trees = tuple(Pseudotree.from_edges(by_tail[v]) for v in sorted(by_tail))
     return Covering(trees=trees, host=eg.graph, target_edges=targets)
 
 

@@ -1,5 +1,6 @@
 """Graph primitives: construction rules, neighborhood queries, reversal, and the vertex-disjoint path count (cross-checked against the
-brute-force oracle)."""
+brute-force oracle, and against the per-call reference flow in flowref over
+many calls on one graph)."""
 
 import random
 
@@ -13,9 +14,11 @@ from dynetid.graph import (
     reverse,
     sources_and_sinks,
 )
+from dynetid.model import build_extended_graph
 from dynetid.oracle import brute_disjoint_paths
 
-from .randgen import random_digraph, random_vertex_subset
+from . import flowref
+from .randgen import random_digraph, random_sparse_model, random_vertex_subset
 
 
 def chain() -> DiGraph:
@@ -116,6 +119,67 @@ class TestDisjointPaths:
     def test_unknown_endpoint(self):
         with pytest.raises(ValueError, match="not in the graph"):
             max_vertex_disjoint_paths(diamond(), {1}, {7})
+
+
+class TestFlowKernelCache:
+    def test_cache_is_invisible(self):
+        g = diamond()
+        before = (hash(g), repr(g))
+        assert max_vertex_disjoint_paths(g, {1}, {4}) == 1
+        assert g == diamond()
+        assert (hash(g), repr(g)) == before
+
+    def test_reverse_answers_from_its_own_kernel(self):
+        # From 1 to 3 the chain has one path and its reverse none; the
+        # reverse is asked after the chain's kernel has run and holds state.
+        g = chain()
+        assert max_vertex_disjoint_paths(g, {1}, {3}) == 1
+        r = reverse(g)
+        assert max_vertex_disjoint_paths(r, {1}, {3}) == 0
+        assert max_vertex_disjoint_paths(r, {3}, {1}) == 1
+        assert r._kernel is not g._kernel
+        assert max_vertex_disjoint_paths(g, {3}, {1}) == 0
+
+
+def _kernel_workload(rng: random.Random, g: DiGraph, calls: int):
+    """Interleaved (sources, targets) sets of every shape the callers use,
+    plus an unknown vertex that must raise."""
+    vs = g.sorted_vertices()
+    unknown = max(vs) + 1
+    kinds = ["check", "dual", "overlap", "empty", "unknown"] * (calls // 5)
+    rng.shuffle(kinds)
+    for kind in kinds:
+        targets = g.in_neighbors(rng.choice(vs))
+        if kind == "check":
+            yield kind, set(rng.sample(vs, len(vs) // 2)), targets
+        elif kind == "dual":
+            yield kind, set(rng.sample(vs, 3)), targets
+        elif kind == "overlap":
+            sources = set(rng.sample(vs, rng.randint(1, 10)))
+            yield kind, sources, set(rng.sample(sorted(sources), 1)) | targets
+        elif kind == "empty":
+            yield kind, *rng.choice([(set(), targets), (set(rng.sample(vs, 5)), set())])
+        else:
+            yield kind, {unknown, *rng.sample(vs, 3)}, targets
+
+
+class TestFlowKernelAgainstReference:
+    @pytest.mark.parametrize("reversed_graph", [False, True])
+    @pytest.mark.parametrize("L", [50, 100, 200, 400])
+    def test_repeated_calls_on_one_graph(self, L, reversed_graph):
+        # Hundreds of calls share one graph's kernel, so capacity left over
+        # from any call would change a later count.
+        g = build_extended_graph(random_sparse_model(random.Random(f"flow/{L}"), L)).graph
+        if reversed_graph:
+            g = reverse(g)
+        rng = random.Random(f"flow-calls/{L}/{reversed_graph}")
+        for kind, sources, targets in _kernel_workload(rng, g, 300):
+            if kind == "unknown":
+                with pytest.raises(ValueError, match="not in the graph"):
+                    max_vertex_disjoint_paths(g, sources, targets)
+                continue
+            want = flowref.max_vertex_disjoint_paths(g, sources, targets)
+            assert max_vertex_disjoint_paths(g, sources, targets) == want, kind
 
 
 SEEDS = st.integers(min_value=0, max_value=10**9)

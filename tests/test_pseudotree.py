@@ -439,6 +439,46 @@ def _reach(edges, start: int) -> set[int]:
     return seen
 
 
+class TestRootsDefinition:
+    @given(SEEDS, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_roots_are_the_vertices_that_reach_all(self, seed, close_cycle):
+        # A random rooted tree on shuffled ids, optionally with one edge
+        # into its root closing a cycle, checked against the definition:
+        # the roots are exactly the vertices that reach every vertex.
+        rng = random.Random(seed)
+        vs = rng.sample(range(1, 40), rng.randint(2, 12))
+        edges = {(rng.choice(vs[:k]), vs[k]) for k in range(1, len(vs))}
+        if close_cycle:
+            edges.add((rng.choice(vs[1:]), vs[0]))
+        ok, roots = is_pseudotree(vs, edges)
+        assert ok
+        assert roots == {r for r in vs if _reach(edges, r) == set(vs)}
+
+    @given(SEEDS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_edge_sets_agree_with_the_definition(self, seed):
+        rng = random.Random(seed)
+        vs = rng.sample(range(1, 12), rng.randint(1, 6))
+        edges = {
+            (rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, len(vs) + 1))
+        }
+        heads = [h for _, h in edges]
+        undirected = edges | {(h, t) for t, h in edges}
+        want = (
+            len(vs) >= 2
+            and all(t != h for t, h in edges)
+            and len(heads) == len(set(heads))
+            and _reach(undirected, vs[0]) == set(vs)
+        )
+        ok, roots = is_pseudotree(vs, edges)
+        assert ok is want
+        if ok:
+            assert roots == {r for r in vs if _reach(edges, r) == set(vs)}
+        else:
+            assert roots == frozenset()
+
+
 class TestMergeabilityDefinition:
     @given(SEEDS)
     @settings(max_examples=150, deadline=None)
