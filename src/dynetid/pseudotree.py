@@ -9,20 +9,27 @@ initial star covering by repeatedly folding one tree into another.
 
 Mergeability bookkeeping lives in a square matrix over {One, Zero, Empty}:
 One means tree i can fold into tree j, Empty means the two trees do not even
-share a vertex, Zero anything else. After a merge the matrix is updated by
-pure row/column arithmetic (reduce): the odot fold of the merged row and
-column, plus the mergeability triangles the entrywise rules cannot see,
-which together reproduce the matrix recomputed from the merged covering.
-The covering-backed merge loop keeps the conservative odot-only fold and
-re-derives the matrix from the covering between passes, so the coverings
-it produces stay as they were; reduce serves the matrix-only entry point.
+share a vertex, Zero anything else. CharMatrix is the dense form the paper
+writes down and reduce updates it after a merge: the odot fold of the merged
+row and column, plus the mergeability triangles the entrywise rules cannot
+see, which together reproduce the matrix recomputed from the merged
+covering. The merge loop runs on a sparse form of the same matrix: trees
+are keyed by an id, each row and each column keeps only its One and Zero
+entries, and a merge folds them in place, touching only the two trees' rows
+and columns. The trace and merge_trees speak in 1-based positions; a tree's
+position is its id's rank among the trees still live. The loop keeps the
+conservative odot-only fold and rebuilds the matrix from the covering
+between passes, so the coverings it produces stay as they were; the
+matrix-only entry points (reduce, matrix_only_merge) run the same fold with
+the triangle rule switched on.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from dynetid.graph import DiGraph, Edge
 from dynetid.model import ExtendedGraph
@@ -195,18 +202,21 @@ def initial_covering(eg: ExtendedGraph) -> Covering:
 def merge_trees(c: Covering, i: int, j: int) -> Covering:
     """Fold tree i into tree j (1-based positions); roots are recomputed.
 
-    Recomputing guards against the union closing a new root cycle, in which
-    case the merged tree gains roots the absorbing tree never had.
+    The union is tested once, by the is_mergeable rule, and the merged tree
+    takes the roots that test found. Recomputing guards against the union
+    closing a new root cycle, in which case the merged tree gains roots the
+    absorbing tree never had.
     """
     n = len(c.trees)
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"invalid tree positions ({i}, {j}) for {n} trees")
     ti, tj = c.trees[i - 1], c.trees[j - 1]
-    if not is_mergeable(ti, tj):
+    vertices, edges = ti.vertices | tj.vertices, ti.edges | tj.edges
+    ok, roots = is_pseudotree(vertices, edges)
+    if not (ok and tj.roots <= roots):
         raise ValueError(f"tree {i} is not mergeable into tree {j}")
-    union = Pseudotree.from_edges(ti.edges | tj.edges)
     trees = list(c.trees)
-    trees[j - 1] = union
+    trees[j - 1] = Pseudotree(vertices, edges, roots)
     del trees[i - 1]
     return Covering(trees=tuple(trees), host=c.host, target_edges=c.target_edges)
 
@@ -255,22 +265,7 @@ class CharMatrix:
 
 def char_matrix(c: Covering) -> CharMatrix:
     """Mergeability matrix of a covering by the direct pairwise checks."""
-    n = len(c.trees)
-    rows = []
-    for i in range(n):
-        ti = c.trees[i]
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(CharEntry.ZERO)
-            elif not (ti.vertices & c.trees[j].vertices):
-                row.append(CharEntry.EMPTY)
-            elif is_mergeable(ti, c.trees[j]):
-                row.append(CharEntry.ONE)
-            else:
-                row.append(CharEntry.ZERO)
-        rows.append(tuple(row))
-    return CharMatrix(tuple(rows))
+    return _MergeMatrix.of_trees(c.trees).to_char_matrix()
 
 
 def char_matrix_from_adjacency(
@@ -325,38 +320,127 @@ def char_matrix_from_adjacency(
     return CharMatrix(tuple(rows))
 
 
-def _entrywise_fold(m: CharMatrix, i: int, j: int) -> CharMatrix:
-    """Fold row/column i into row/column j by odot alone; drop index i.
+class _MergeMatrix:
+    """A characteristic matrix keyed by tree id, stored sparsely, folded in place.
 
-    Row j and column j are recombined entrywise against row and column i of
-    the original matrix; the (j, j) cell lands on Zero either way because
-    the old diagonal absorbs. Applied to an exact matrix this never invents
-    a One, and its only misses are Zero-for-One in the merged row or
-    column: the mergeability triangles that reduce adds back.
+    rows[r] and cols[c] hold the One and Zero entries of row r and column c;
+    an absent key means Empty, and the diagonal, always Zero, is not stored.
+    ids lists the live ids, 1 to n at the start, in ascending order. A fold
+    keeps the order of the surviving trees, so an id's 1-based position in
+    the matrix is its rank there. ones counts the Ones of every row that has
+    any.
     """
-    n = m.n
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError(f"invalid positions ({i}, {j}) for a {n}x{n} matrix")
-    if m.entry(i, j) is not CharEntry.ONE:
-        raise ValueError(f"entry ({i}, {j}) is not 1; the pair cannot be merged")
-    old = m.entries
-    i0, j0 = i - 1, j - 1
-    rows = []
-    for r in range(n):
-        if r == i0:
-            continue
-        row = []
-        for c in range(n):
-            if c == i0:
-                continue
-            if r == j0:
-                row.append(odot(old[i0][c], old[j0][c]))
-            elif c == j0:
-                row.append(odot(old[r][i0], old[r][j0]))
+
+    def __init__(self, n: int) -> None:
+        self.ids = list(range(1, n + 1))
+        self.rows: dict[int, dict[int, CharEntry]] = {k: {} for k in self.ids}
+        self.cols: dict[int, dict[int, CharEntry]] = {k: {} for k in self.ids}
+        self.ones: dict[int, int] = {}
+
+    @classmethod
+    def of_trees(cls, trees: tuple[Pseudotree, ...]) -> _MergeMatrix:
+        """The matrix of trees[k - 1] as id k, by the direct pairwise checks.
+
+        Pairs that share no vertex are Empty, so only the pairs found through
+        a vertex -> trees index are tested.
+        """
+        m = cls(len(trees))
+        holders: dict[int, list[int]] = {}
+        for k, t in enumerate(trees, start=1):
+            for v in t.vertices:
+                holders.setdefault(v, []).append(k)
+        pairs = {(a, b) for ks in holders.values() for a in ks for b in ks if a != b}
+        for a, b in sorted(pairs):
+            mergeable = is_mergeable(trees[a - 1], trees[b - 1])
+            m._put(a, b, CharEntry.ONE if mergeable else CharEntry.ZERO)
+        return m
+
+    @classmethod
+    def of_char_matrix(cls, cm: CharMatrix) -> _MergeMatrix:
+        m = cls(cm.n)
+        for r, row in enumerate(cm.entries, start=1):
+            for c, e in enumerate(row, start=1):
+                if r != c and e is not CharEntry.EMPTY:
+                    m._put(r, c, e)
+        return m
+
+    def to_char_matrix(self) -> CharMatrix:
+        n = len(self.ids)
+        pos = {k: p for p, k in enumerate(self.ids)}
+        rows = [[CharEntry.EMPTY] * n for _ in range(n)]
+        for p in range(n):
+            rows[p][p] = CharEntry.ZERO
+        for r, row in self.rows.items():
+            for c, e in row.items():
+                rows[pos[r]][pos[c]] = e
+        return CharMatrix.from_rows(rows)
+
+    def position(self, k: int) -> int:
+        return bisect_left(self.ids, k) + 1
+
+    def _put(self, r: int, c: int, e: CharEntry) -> None:
+        row = self.rows[r]
+        self._count(r, (e is CharEntry.ONE) - (row.get(c) is CharEntry.ONE))
+        row[c] = e
+        self.cols[c][r] = e
+
+    def _count(self, r: int, delta: int) -> None:
+        if delta:
+            k = self.ones.get(r, 0) + delta
+            if k:
+                self.ones[r] = k
             else:
-                row.append(old[r][c])
-        rows.append(tuple(row))
-    return CharMatrix(tuple(rows))
+                del self.ones[r]
+
+    def pick(self, forced: bool) -> tuple[int, int] | None:
+        """The (row, column) ids to merge next, or None when no row qualifies.
+
+        A row qualifies with exactly one One when forced, else with any One.
+        The row with the fewest non-Empty entries (the most Empties) wins,
+        ties going to the lowest id; it folds into its lowest One column.
+        """
+        best: tuple[int, int] | None = None
+        for r, k in self.ones.items():
+            if forced and k != 1:
+                continue
+            key = (len(self.rows[r]), r)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            return None
+        r = best[1]
+        return r, min(c for c, e in self.rows[r].items() if e is CharEntry.ONE)
+
+    def fold(self, i: int, j: int, triangles: bool) -> None:
+        """Fold row/column i into row/column j by odot and drop id i.
+
+        Only the entries of rows i and j and of columns i and j move. The
+        new (j, c) is (i, c) odot (j, c) and the new (r, j) is (r, i) odot
+        (r, j); an Empty (i, c) or (r, i) leaves the old entry as it was.
+        With triangles, every k with (k, i) = One and (j, k) = One gets One
+        at (k, j) and (j, k) afterwards (see reduce).
+        """
+        rows, cols = self.rows, self.cols
+        ri, ci, rj, cj = rows.pop(i), cols.pop(i), rows[j], cols[j]
+        one, empty = CharEntry.ONE, CharEntry.EMPTY
+        closed = [k for k, e in ci.items() if triangles and e is one and rj.get(k) is one]
+        row_j = {c: odot(e, rj.get(c, empty)) for c, e in ri.items() if c != j}
+        col_j = {r: odot(e, cj.get(r, empty)) for r, e in ci.items() if r != j}
+        self.ones.pop(i, None)
+        for c in ri:
+            del cols[c][i]
+        for r, e in ci.items():
+            del rows[r][i]
+            if e is one:
+                self._count(r, -1)
+        del self.ids[bisect_left(self.ids, i)]
+        for c, e in row_j.items():
+            self._put(j, c, e)
+        for r, e in col_j.items():
+            self._put(r, j, e)
+        for k in closed:
+            self._put(k, j, one)
+            self._put(j, k, one)
 
 
 def reduce(m: CharMatrix, i: int, j: int) -> CharMatrix:
@@ -374,86 +458,68 @@ def reduce(m: CharMatrix, i: int, j: int) -> CharMatrix:
     Raising those two entries to One makes the result equal the matrix
     recomputed from the merged covering whenever m is exact.
     """
-    rows = [list(row) for row in _entrywise_fold(m, i, j).entries]
-    j0 = j - 1 - (j > i)
-    for k in range(1, m.n + 1):
-        if m.entry(k, i) is CharEntry.ONE and m.entry(j, k) is CharEntry.ONE:
-            k0 = k - 1 - (k > i)
-            rows[k0][j0] = CharEntry.ONE
-            rows[j0][k0] = CharEntry.ONE
-    return CharMatrix.from_rows(rows)
+    n = m.n
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"invalid positions ({i}, {j}) for a {n}x{n} matrix")
+    if m.entry(i, j) is not CharEntry.ONE:
+        raise ValueError(f"entry ({i}, {j}) is not 1; the pair cannot be merged")
+    sparse = _MergeMatrix.of_char_matrix(m)
+    sparse.fold(i, j, triangles=True)
+    return sparse.to_char_matrix()
 
 
 # ---- the merge heuristic ----
 
 
-def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
-    """The (row, column) to merge next, or None when no row qualifies.
-
-    A row qualifies with exactly one One when forced, else with any One.
-    The row with the most Empties wins, ties going to the lowest index; it
-    folds into its lowest One column.
-    """
-    best: tuple[int, int, int] | None = None
-    for r, row in enumerate(m.entries, start=1):
-        ones = [c for c, e in enumerate(row, start=1) if e is CharEntry.ONE]
-        qualifies = len(ones) == 1 if forced else bool(ones)
-        if not qualifies:
-            continue
-        empties = row.count(CharEntry.EMPTY)
-        if best is None or empties > best[0]:
-            best = (empties, r, ones[0])
-    return None if best is None else best[1:]
-
-
-def _run_merge_policy(
-    m: CharMatrix, advance: Callable[[CharMatrix, int, int], CharMatrix]
-) -> tuple[CharMatrix, list[tuple[int, int]]]:
-    """Two-phase merge selection; advance() yields the post-merge matrix.
+def _merge_steps(m: _MergeMatrix, triangles: bool) -> Iterator[tuple[int, int]]:
+    """Two-phase merge selection on m, folding it in place as it goes.
 
     Phase one merges forced rows (exactly one One) until none is left, then
-    phase two spends the remaining Ones; _pick_row chooses every step.
+    phase two spends the remaining Ones; pick chooses every step. Each merge
+    is yielded as 1-based positions (i, j) before m folds it.
     """
-    trace: list[tuple[int, int]] = []
     for forced in (True, False):
-        while (pick := _pick_row(m, forced)) is not None:
-            trace.append(pick)
-            m = advance(m, *pick)
-    return m, trace
+        while (pick := m.pick(forced)) is not None:
+            i, j = pick
+            yield m.position(i), m.position(j)
+            m.fold(i, j, triangles)
 
 
 def matrix_only_merge(m: CharMatrix) -> tuple[CharMatrix, list[tuple[int, int]]]:
-    """Run the merge selection policy on a bare matrix via reduce alone."""
-    return _run_merge_policy(m, reduce)
+    """Run the merge selection policy on a bare matrix via reduce's fold."""
+    sparse = _MergeMatrix.of_char_matrix(m)
+    trace = list(_merge_steps(sparse, triangles=True))
+    return sparse.to_char_matrix(), trace
 
 
 def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]]:
     """Shrink the star covering of the parameterized edges by greedy merging.
 
-    Each two-phase pass keeps its matrix current with the odot-only fold,
+    Each pass builds the sparse matrix of the current covering, keyed by the
+    trees' positions at the start of the pass, and runs the two-phase policy
+    on it. The trace records every merge as the trees' 1-based positions in
+    the covering at that moment, which is each id's rank among the ids still
+    live. Within a pass the matrix follows each merge by the odot-only fold,
     which never overstates mergeability, so every selected pair is safe to
-    merge on the covering. It can understate it though: folding tree i into
-    tree j may close a mergeability triangle with a third tree, which the
-    entrywise arithmetic maps to Zero (reduce adds these back). A pass can
-    therefore end with genuine merges left, so the matrix is re-derived
-    from the covering between passes and the loop only stops once it is
-    One-free. The loop keeps this conservative fold and its recompute so
-    that the coverings and traces it produces stay unchanged.
+    merge on the covering (merge_trees still checks it). It can understate
+    it though: folding tree i into tree j may close a mergeability triangle
+    with a third tree, which the entrywise arithmetic maps to Zero (reduce
+    adds these back). A pass can therefore end with genuine merges left, so
+    the loop rebuilds the matrix from the covering and only stops after a
+    pass that merges nothing. The loop keeps this conservative fold so that
+    the coverings and traces it produces stay unchanged.
 
     Without parameterized edges there is nothing to cover: the result is
     the empty covering and an empty trace.
     """
     if not eg.parameterized_edges:
         return Covering(trees=(), host=eg.graph, target_edges=eg.parameterized_edges), []
-    state = {"c": initial_covering(eg)}
-
-    def advance(m: CharMatrix, i: int, j: int) -> CharMatrix:
-        state["c"] = merge_trees(state["c"], i, j)
-        return _entrywise_fold(m, i, j)
-
+    c = initial_covering(eg)
     trace: list[tuple[int, int]] = []
     while True:
-        _, pass_trace = _run_merge_policy(char_matrix(state["c"]), advance)
-        trace.extend(pass_trace)
-        if not pass_trace:
-            return state["c"], trace
+        merged = len(trace)
+        for i, j in _merge_steps(_MergeMatrix.of_trees(c.trees), triangles=False):
+            c = merge_trees(c, i, j)
+            trace.append((i, j))
+        if len(trace) == merged:
+            return c, trace

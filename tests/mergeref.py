@@ -1,0 +1,125 @@
+"""Reference merge heuristic for differential tests.
+
+This is the merge loop the library ran before its sparse, in-place
+mergeability matrix: each pass builds the dense characteristic matrix of the
+covering by direct pairwise checks, every merge rebuilds that matrix as a new
+(n-1)^2 tuple through the odot-only fold, and every policy step rescans every
+cell. It is O(n^3) in the star count n, which is why it lives here and not in
+the library; the tests compare the library's traces and coverings against it.
+"""
+
+from __future__ import annotations
+
+from dynetid.model import ExtendedGraph
+from dynetid.pseudotree import (
+    CharEntry,
+    CharMatrix,
+    Covering,
+    initial_covering,
+    is_mergeable,
+    merge_trees,
+    odot,
+)
+
+
+def char_matrix(c: Covering) -> CharMatrix:
+    """Mergeability matrix of a covering by the direct pairwise checks."""
+    n = len(c.trees)
+    rows = []
+    for i in range(n):
+        ti = c.trees[i]
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(CharEntry.ZERO)
+            elif not (ti.vertices & c.trees[j].vertices):
+                row.append(CharEntry.EMPTY)
+            elif is_mergeable(ti, c.trees[j]):
+                row.append(CharEntry.ONE)
+            else:
+                row.append(CharEntry.ZERO)
+        rows.append(tuple(row))
+    return CharMatrix(tuple(rows))
+
+
+def _entrywise_fold(m: CharMatrix, i: int, j: int) -> CharMatrix:
+    """Fold row/column i into row/column j by odot alone; drop index i.
+
+    Row j and column j are recombined entrywise against row and column i of
+    the original matrix; the (j, j) cell lands on Zero either way because
+    the old diagonal absorbs. Applied to an exact matrix this never invents
+    a One, and its only misses are Zero-for-One in the merged row or
+    column: the mergeability triangles that reduce adds back.
+    """
+    n = m.n
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"invalid positions ({i}, {j}) for a {n}x{n} matrix")
+    if m.entry(i, j) is not CharEntry.ONE:
+        raise ValueError(f"entry ({i}, {j}) is not 1; the pair cannot be merged")
+    old = m.entries
+    i0, j0 = i - 1, j - 1
+    rows = []
+    for r in range(n):
+        if r == i0:
+            continue
+        row = []
+        for c in range(n):
+            if c == i0:
+                continue
+            if r == j0:
+                row.append(odot(old[i0][c], old[j0][c]))
+            elif c == j0:
+                row.append(odot(old[r][i0], old[r][j0]))
+            else:
+                row.append(old[r][c])
+        rows.append(tuple(row))
+    return CharMatrix(tuple(rows))
+
+
+def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
+    """The (row, column) to merge next, or None when no row qualifies.
+
+    A row qualifies with exactly one One when forced, else with any One.
+    The row with the most Empties wins, ties going to the lowest index; it
+    folds into its lowest One column.
+    """
+    best: tuple[int, int, int] | None = None
+    for r, row in enumerate(m.entries, start=1):
+        ones = [c for c, e in enumerate(row, start=1) if e is CharEntry.ONE]
+        qualifies = len(ones) == 1 if forced else bool(ones)
+        if not qualifies:
+            continue
+        empties = row.count(CharEntry.EMPTY)
+        if best is None or empties > best[0]:
+            best = (empties, r, ones[0])
+    return None if best is None else best[1:]
+
+
+def merge_pass(c: Covering) -> tuple[Covering, list[tuple[int, int]]]:
+    """One two-phase pass over the covering's freshly built matrix.
+
+    Phase one merges forced rows (exactly one One) until none is left, then
+    phase two spends the remaining Ones; the matrix follows each merge by
+    the odot-only fold.
+    """
+    m = char_matrix(c)
+    trace: list[tuple[int, int]] = []
+    for forced in (True, False):
+        while (pick := _pick_row(m, forced)) is not None:
+            trace.append(pick)
+            c = merge_trees(c, *pick)
+            m = _entrywise_fold(m, *pick)
+    return c, trace
+
+
+def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]]:
+    """Passes over the star covering until one of them merges nothing."""
+    if not eg.parameterized_edges:
+        return Covering(trees=(), host=eg.graph, target_edges=eg.parameterized_edges), []
+    c = initial_covering(eg)
+    trace: list[tuple[int, int]] = []
+    while True:
+        c, pass_trace = merge_pass(c)
+        trace.extend(pass_trace)
+        if not pass_trace:
+            return c, trace

@@ -3,7 +3,8 @@ algebra, and the two-phase merge heuristic.
 
 The 9x9 matrix fixture and its printed reductions exercise the exact
 published behavior of the merge bookkeeping; the property tests then check
-the same laws on random instances against the brute-force oracle.
+the same laws on random instances against the brute-force oracle, and the
+sparse in-place merge against the dense reference loop in mergeref.
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynetid.dual import _reversed_extended
 from dynetid.graph import DiGraph
 from dynetid.model import EntryStatus, ModelSet, build_extended_graph
 from dynetid.oracle import OracleBudget, brute_min_covering
@@ -20,7 +22,7 @@ from dynetid.pseudotree import (
     CharMatrix,
     Covering,
     Pseudotree,
-    _entrywise_fold,
+    _MergeMatrix,
     algorithm1_merge,
     are_disjoint,
     char_matrix,
@@ -35,7 +37,10 @@ from dynetid.pseudotree import (
     reduce,
 )
 
-from .randgen import random_digraph, random_model
+from .mergeref import _entrywise_fold, _pick_row
+from .mergeref import algorithm1_merge as reference_merge
+from .mergeref import merge_pass as reference_pass
+from .randgen import random_digraph, random_model, random_sparse_model
 from .test_model import correlated_noise_model
 
 O, I, E = CharEntry.ZERO, CharEntry.ONE, CharEntry.EMPTY
@@ -385,12 +390,12 @@ class TestMatrixCoveringConsistency:
     @given(SEEDS)
     @settings(max_examples=100, deadline=None)
     def test_reduce_is_a_conservative_update(self, seed):
-        # the odot-only fold that algorithm1_merge runs within a pass,
-        # applied to an exact matrix, never invents a One, and the Ones it
-        # misses all involve the merged tree: growing tree j can close a
-        # mergeability triangle, and 0 odot 1 stays 0. The merge loop's
-        # safety rests on both. Checked for every legal merge along a
-        # random walk.
+        # the odot-only fold that algorithm1_merge runs within a pass (in
+        # its dense form from mergeref), applied to an exact matrix, never
+        # invents a One, and the Ones it misses all involve the merged
+        # tree: growing tree j can close a mergeability triangle, and
+        # 0 odot 1 stays 0. The merge loop's safety rests on both. Checked
+        # for every legal merge along a random walk.
         rng = random.Random(seed)
         eg = build_extended_graph(random_model(rng))
         assume(eg.parameterized_edges)
@@ -531,3 +536,61 @@ class TestAlgorithmOneProperties:
             eg.graph, eg.parameterized_edges, WIDE_BUDGET
         )
         assert len(covering) >= kappa
+
+
+def _dump(result):
+    covering, trace = result
+    return trace, [(sorted(t.roots), sorted(t.edges)) for t in covering.trees]
+
+
+def _random_char_matrix(rng: random.Random) -> CharMatrix:
+    n = rng.randint(2, 7)
+    return CharMatrix.from_rows(
+        [O if r == c else rng.choice((O, I, E)) for c in range(n)] for r in range(n)
+    )
+
+
+class TestMergeAgainstReference:
+    """The sparse in-place merge against the dense loop in tests/mergeref.py."""
+
+    @given(SEEDS)
+    @settings(max_examples=300, deadline=None)
+    def test_fold_and_pick_match_the_dense_ones(self, seed):
+        # On any matrix, exact or not: the in-place fold without the
+        # triangle rule equals the dense odot fold for every One, and the
+        # sparse pick names the same positions as the dense row scan.
+        rng = random.Random(seed)
+        m = _random_char_matrix(rng)
+        for forced in (True, False):
+            sparse = _MergeMatrix.of_char_matrix(m)
+            pick = sparse.pick(forced)
+            got = None if pick is None else tuple(map(sparse.position, pick))
+            assert got == _pick_row(m, forced)
+        for i, j in _ones(m):
+            sparse = _MergeMatrix.of_char_matrix(m)
+            sparse.fold(i, j, triangles=False)
+            assert sparse.to_char_matrix() == _entrywise_fold(m, i, j)
+
+    def test_random_models_match(self):
+        for seed in range(400):
+            eg = build_extended_graph(random_model(random.Random(seed)))
+            assert _dump(algorithm1_merge(eg)) == _dump(reference_merge(eg)), seed
+
+    @pytest.mark.parametrize("L", (50, 100, 200, 400))
+    @pytest.mark.parametrize("side", ("extended", "reversed"))
+    def test_sparse_models_match(self, L, side):
+        m = random_sparse_model(random.Random(L), L)
+        eg = build_extended_graph(m) if side == "extended" else _reversed_extended(m)
+        assert _dump(algorithm1_merge(eg)) == _dump(reference_merge(eg))
+
+    @pytest.mark.parametrize("seed", (93, 95, 154, 274))
+    def test_second_productive_pass(self, seed):
+        # A single pass of the odot-only fold leaves a genuine merge behind
+        # on these inputs, so the merge must rebuild its matrix and go on.
+        eg = build_extended_graph(random_model(random.Random(seed)))
+        once, first_pass = reference_pass(initial_covering(eg))
+        assert _ones(char_matrix(once)) != []
+        covering, trace = algorithm1_merge(eg)
+        assert len(trace) > len(first_pass)
+        assert _dump((covering, trace)) == _dump(reference_merge(eg))
+        assert _ones(char_matrix(covering)) == []
