@@ -1,14 +1,14 @@
 """Excitation signal allocation.
 
-Pipeline (cover_and_prune): cover the parameterized edges with disjoint
-pseudotrees, drop the trees already rooted in a noise-stimulated vertex,
-excite one root of each remaining tree, then greedily prune roots whose
-removal keeps the path condition intact on the tree's own vertices. The
-greedy step validates only the tree at hand, so a removal can in principle
-invalidate a tree cleared earlier; a full final verification with rollback
-keeps the result sound regardless. Both tests evaluate the path condition
-through identifiability.vertex_checks. allocate adds its fallbacks on top;
-the measurement dual runs the same pipeline on the reversed graph.
+One pipeline, allocate, serves both selections: cover the parameterized
+edges with disjoint pseudotrees, drop the trees already rooted in a
+noise-stimulated vertex, excite one root of each remaining tree, then
+greedily prune roots whose removal keeps the path condition intact on the
+tree's own vertices. The greedy step validates only the tree at hand, so a
+removal can in principle invalidate a tree cleared earlier; a full final
+verification with rollback keeps the result sound regardless. Both tests
+evaluate the path condition through identifiability.vertex_checks. The
+measurement dual runs allocate on the reversed graph.
 """
 
 from __future__ import annotations
@@ -51,14 +51,17 @@ def prune(
     eg: ExtendedGraph,
     pi_s: tuple[Pseudotree, ...],
     r0: tuple[int, ...],
-    covering_used: Covering | None = None,
+    covering_used: Covering,
 ) -> AllocationResult:
-    """Drop removable roots, then verify the survivors and roll back if needed.
+    """allocate's last step: drop removable roots, then verify the
+    survivors and roll back if needed.
 
-    A root is removable when, without it, the stimulated set still supports
-    a full set of disjoint paths into every in-neighborhood inside its own
-    tree. The final verification re-checks every internal vertex; on failure
-    the most recent removals are restored one at a time until it passes.
+    r0[k] is the root chosen for pi_s[k]. A root is removable when, without
+    it, the stimulated set still supports a full set of disjoint paths into
+    every in-neighborhood inside its own tree. The final verification
+    re-checks every internal vertex; on failure the most recent removals are
+    restored one at a time until it passes or none is left. covering_used
+    is the covering pi_s came from, carried into the result.
     """
     v_e = eg.noise_vertices | eg.noise_driven
     active = set(r0)
@@ -78,10 +81,6 @@ def prune(
         active.add(pruned.pop())
         verified = check_with_excitations(eg, frozenset(active)).identifiable
 
-    if covering_used is None:
-        covering_used = Covering(
-            trees=pi_s, host=eg.graph, target_edges=eg.parameterized_edges
-        )
     return AllocationResult(
         excited=tuple(sorted(active)),
         covering_used=covering_used,
@@ -90,36 +89,28 @@ def prune(
     )
 
 
-def cover_and_prune(eg: ExtendedGraph) -> AllocationResult:
-    """Cover, drop the noise-rooted trees, excite one root each, prune."""
+def allocate(eg: ExtendedGraph) -> AllocationResult:
+    """Design an excitation set on a model's extended graph.
+
+    The model's own excitation pattern is ignored: this designs one from
+    scratch, in four steps: algorithm1_merge, noise_rooted_filter,
+    select_roots, prune.
+
+    The unpruned roots always pass the path condition, so prune's rollback
+    stops at them at the latest and the result is verified. Let T be the
+    tree covering a parameterized edge (i, j). Every vertex on T's path
+    from its root to i has an out-edge in T, i included through (i, j).
+    Disjoint trees never give one vertex out-edges in two trees, and a tree
+    has in-degree at most one, so each of j's parameterized in-edges lies
+    in its own tree and their root paths are pairwise vertex-disjoint: the
+    flow reaches the size of j's parameterized in-neighborhood. Each path
+    starts at a stimulated root: the one select_roots chose or, for a tree
+    the filter dropped, its noise-stimulated root (every root of a tree
+    reaches all of it). The initial stars form a valid covering and
+    merge_trees guards every merge, so the covering is always valid;
+    verified false would mean a broken covering, which the CLI reports as
+    exit 4 with a reason.
+    """
     covering, _ = algorithm1_merge(eg)
     pi_s, _ = noise_rooted_filter(covering, eg)
     return prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
-
-
-def allocate(eg: ExtendedGraph) -> AllocationResult:
-    """Full allocation pipeline on a model's extended graph.
-
-    The model's own excitation pattern is ignored: this designs one from
-    scratch. When the covering-based selection cannot be verified, the
-    result escalates, first to every internal root in the covering, then to
-    all internal vertices, and reports whatever first passes.
-    """
-    result = cover_and_prune(eg)
-    if result.verified:
-        return result
-    covering = result.covering_used
-
-    for fallback in (
-        sorted({v for t in covering.trees for v in t.roots} & eg.internal),
-        sorted(eg.internal),
-    ):
-        trial = frozenset(fallback)
-        if check_with_excitations(eg, trial).identifiable:
-            return AllocationResult(
-                excited=tuple(sorted(trial)),
-                covering_used=covering,
-                pruned=(),
-                verified=True,
-            )
-    return result

@@ -6,7 +6,7 @@ role of pseudotrees is taken over by anti-pseudotrees: connected simple
 digraphs with all out-degrees at most one, whose roots every other vertex
 reaches by exactly one path. Reversing every edge turns one problem into the
 other, so the implementation runs the primal pipeline and the primal bounds
-(allocation.cover_and_prune, identifiability.excitation_bounds) on the
+(allocation.allocate, identifiability.excitation_bounds) on the
 reversed graph with zero noise channels and maps the results back.
 
 The input is an ordinary ModelSet. Its excitation pattern is ignored (every
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynetid.allocation import cover_and_prune
-from dynetid.graph import DiGraph, Edge, reverse
+from dynetid.allocation import allocate
+from dynetid.graph import DiGraph, Edge
 from dynetid.identifiability import excitation_bounds
 from dynetid.model import EntryStatus, ExtendedGraph, InvalidModelError, ModelSet
 from dynetid.pseudotree import Covering
@@ -74,7 +74,7 @@ class DualSelection:
 
 
 def _reversed_extended(m: ModelSet) -> ExtendedGraph:
-    rev = reverse(DiGraph(frozenset(range(1, m.L + 1)), m.internal_edges()))
+    rev = DiGraph(frozenset(range(1, m.L + 1)), frozenset((h, t) for t, h in m.modules))
     return ExtendedGraph(
         graph=rev,
         L=m.L,
@@ -90,14 +90,14 @@ def select_measurements(m: ModelSet) -> DualSelection:
     """Pick a measured vertex set supporting disjoint paths from every
     out-neighborhood.
 
-    Runs covering, root selection and pruning on the reversed graph; a
-    reversed pseudotree is an anti-pseudotree of the original graph and its
-    roots are the vertices to measure. bounds are measurement_bounds(m,
-    reversed_covering), read from the same reversed graph.
+    Runs allocate on the reversed graph; a reversed pseudotree is an
+    anti-pseudotree of the original graph and its roots are the vertices to
+    measure. bounds are measurement_bounds(m, reversed_covering), read from
+    the same reversed graph.
     """
     _require_dual(m)
     rev = _reversed_extended(m)
-    result = cover_and_prune(rev)
+    result = allocate(rev)
     covering = result.covering_used
     anti = tuple(
         AntiPseudotree(

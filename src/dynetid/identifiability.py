@@ -81,11 +81,16 @@ def excitation_bounds(
 ) -> tuple[int, int]:
     """Bounds on the number of designed excitations needed.
 
-    lower = max(source count of the extended graph, largest parameterized
-    in-neighborhood) minus the noise channel count, clamped at zero. The
-    upper bound spends one excitation per covering tree, minus the trees the
-    noise channels already root; the covering defaults to the merge
-    heuristic's output.
+    lower = max(0, max(source count of the extended graph, largest
+    parameterized in-neighborhood) - p) and upper = (covering tree count) -
+    p, where p is the noise channel count, not the number of trees the
+    noise channels root; the covering defaults to the merge heuristic's
+    output. lower <= len(allocate(eg).excited) <= upper, with allocate's
+    covering, holds when every source of the extended graph has a
+    parameterized out-edge and every vertex driven by a single known noise
+    column is such a source. Outside these conditions upper can be
+    negative, lower can exceed upper, and an allocation can fall on either
+    side of the pair.
     """
     sources, _ = sources_and_sinks(eg.graph)
     max_indeg = max(

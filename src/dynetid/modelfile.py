@@ -49,7 +49,7 @@ def _int_field(value: Any, where: str, lo: int, hi: int | None = None) -> int:
 
 
 def _status_field(value: Any, where: str) -> EntryStatus:
-    if value not in _STATUS_BY_NAME:
+    if not isinstance(value, str) or value not in _STATUS_BY_NAME:
         raise ModelFileError(f'{where} must be "param" or "known"')
     return _STATUS_BY_NAME[value]
 
@@ -61,7 +61,7 @@ def model_from_json(doc: Any) -> ModelSet:
         required=("schema", "L", "modules", "excited", "strictly_proper"),
         optional=("noise", "feedthrough_edges"),
     )
-    if doc["schema"] != SCHEMA_VERSION:
+    if type(doc["schema"]) is not int or doc["schema"] != SCHEMA_VERSION:
         raise ModelFileError(f'"schema" must be {SCHEMA_VERSION}')
     L = _int_field(doc["L"], '"L"', 1)
 
@@ -139,7 +139,7 @@ def model_from_json(doc: Any) -> ModelSet:
 def parse_model(text: str) -> ModelSet:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFileError(f"not valid JSON: {exc}") from exc
     return model_from_json(doc)
 

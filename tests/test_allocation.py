@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynetid.allocation import allocate, noise_rooted_filter, prune, select_roots
+from dynetid.dual import _reversed_extended
 from dynetid.identifiability import check_with_excitations, excitation_bounds
-from dynetid.model import EntryStatus, ModelSet, build_extended_graph
-from dynetid.pseudotree import Pseudotree, algorithm1_merge
+from dynetid.model import EntryStatus, ExtendedGraph, ModelSet, build_extended_graph
+from dynetid.pseudotree import Covering, Pseudotree, algorithm1_merge
 
 from .randgen import all_extended_subsets, random_bounded_model, random_model
 from .test_model import correlated_noise_model
@@ -25,6 +26,13 @@ def diamond() -> ModelSet:
 def doubly_noise_covered() -> ModelSet:
     """One parameterized edge; separate noise channels drive both endpoints."""
     return ModelSet.from_edges(2, [(1, 2)], noise_columns=[[(1, P)], [(2, P)]])
+
+
+def unpruned_roots(eg: ExtendedGraph) -> tuple[int, ...]:
+    """What allocate hands to prune: one root of each tree left by the filter."""
+    covering, _ = algorithm1_merge(eg)
+    pi_s, _ = noise_rooted_filter(covering, eg)
+    return select_roots(pi_s)
 
 
 class TestNoiseRootedFilter:
@@ -94,7 +102,8 @@ class TestPrune:
         # its vertices disjointly, so the designed excitation is redundant
         eg = build_extended_graph(doubly_noise_covered())
         pi_s = (Pseudotree.from_edges([(1, 2)]),)
-        result = prune(eg, pi_s, select_roots(pi_s))
+        covering = Covering(trees=pi_s, host=eg.graph, target_edges=eg.parameterized_edges)
+        result = prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
         assert result.excited == ()
         assert result.pruned == (1,)
         assert result.verified
@@ -107,6 +116,18 @@ class TestPrune:
         assert result.excited == (5,)
         assert result.pruned == ()
         assert result.verified
+
+
+class TestCoveringRoots:
+    @given(SEEDS)
+    @settings(max_examples=150, deadline=None)
+    def test_unpruned_roots_pass_the_path_condition(self, seed):
+        # allocate's verification rests on this: the roots of a disjoint
+        # covering, plus the noise-stimulated vertices, are enough before
+        # prune drops anything. The reversed graph is the dual's input.
+        m = random_model(random.Random(seed), max_vertices=7, max_noise=3, known_share=0.35)
+        for eg in (build_extended_graph(m), _reversed_extended(m)):
+            assert check_with_excitations(eg, unpruned_roots(eg)).identifiable
 
 
 class TestAllocate:

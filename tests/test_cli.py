@@ -91,6 +91,17 @@ class TestValidateCommand:
         assert out == ""
         assert err.startswith("error: not valid JSON")
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for integers longer than
+        # Python's int-string conversion limit (4,300 digits by default)
+        path = tmp_path / "long.json"
+        path.write_text('{"schema": 1, "L": ' + "9" * 5000 + "}", encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: not valid JSON")
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_identifiable(self, tmp_path, capsys):

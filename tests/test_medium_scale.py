@@ -12,12 +12,13 @@ import random
 import pytest
 
 from dynetid.allocation import allocate
-from dynetid.dual import measurement_bounds, select_measurements
+from dynetid.dual import _reversed_extended, measurement_bounds, select_measurements
 from dynetid.identifiability import check_with_excitations, excitation_bounds
 from dynetid.model import build_extended_graph
 from dynetid.pseudotree import covering_violations
 
 from .randgen import random_sparse_model
+from .test_allocation import unpruned_roots
 
 SIZES = (50, 60, 70, 85, 100)
 
@@ -39,3 +40,10 @@ def test_both_selections_are_verified_and_bounded(L):
     assert covering_violations(sel.reversed_covering) == ()
     lower, upper = measurement_bounds(m, sel.reversed_covering)
     assert lower <= len(sel.measured) <= upper
+
+
+@pytest.mark.parametrize("L", SIZES)
+def test_unpruned_roots_pass_the_path_condition(L):
+    m = random_sparse_model(random.Random(f"medium/{L}"), L)
+    for eg in (build_extended_graph(m), _reversed_extended(m)):
+        assert check_with_excitations(eg, unpruned_roots(eg)).identifiable

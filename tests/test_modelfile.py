@@ -94,10 +94,12 @@ class TestParsing:
             model_from_json(doc)
 
     def test_schema_version_checked(self):
-        doc = diamond_doc()
-        doc["schema"] = 2
-        with pytest.raises(ModelFileError, match='"schema" must be 1'):
-            model_from_json(doc)
+        # true and 1.0 compare equal to 1 but are not the integer 1
+        for version in (2, True, 1.0):
+            doc = diamond_doc()
+            doc["schema"] = version
+            with pytest.raises(ModelFileError, match='"schema" must be 1'):
+                model_from_json(doc)
 
     def test_l_rejects_bool(self):
         doc = diamond_doc()
@@ -140,6 +142,17 @@ class TestParsing:
         doc["modules"][0]["status"] = "free"
         with pytest.raises(ModelFileError, match='"param" or "known"'):
             model_from_json(doc)
+
+    def test_unhashable_status(self):
+        for status in ([], {}):
+            doc = diamond_doc()
+            doc["modules"][0]["status"] = status
+            with pytest.raises(ModelFileError, match='"param" or "known"'):
+                model_from_json(doc)
+            doc = diamond_doc()
+            doc["noise"] = {"p": 1, "columns": [[{"row": 1, "status": status}]]}
+            with pytest.raises(ModelFileError, match='"param" or "known"'):
+                model_from_json(doc)
 
     def test_noise_column_count_must_match_p(self):
         doc = diamond_doc()
