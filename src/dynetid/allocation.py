@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynetid.identifiability import check_with_excitations, vertex_checks
+from dynetid.identifiability import (
+    check_with_excitations,
+    excitation_bounds,
+    vertex_checks,
+)
 from dynetid.model import ExtendedGraph
 from dynetid.pseudotree import Covering, Pseudotree, algorithm1_merge
 
@@ -26,20 +30,13 @@ class AllocationResult:
     covering_used: Covering
     pruned: tuple[int, ...]
     verified: bool
+    bounds: tuple[int, int]
 
 
-def noise_rooted_filter(
-    c: Covering, eg: ExtendedGraph
-) -> tuple[tuple[Pseudotree, ...], frozenset[int]]:
-    """Split off the trees whose roots the noise channels already stimulate.
-
-    Returns the trees still needing a designed excitation, plus the
-    noise-stimulated vertex set (noise vertices and internal vertices driven
-    by known noise columns, one per channel).
-    """
-    v_e = eg.noise_vertices | eg.noise_driven
-    pi_s = tuple(t for t in c.trees if not (t.roots & v_e))
-    return pi_s, v_e
+def noise_rooted_filter(c: Covering, eg: ExtendedGraph) -> tuple[Pseudotree, ...]:
+    """The trees still needing a designed excitation: those with no root
+    the noise channels already stimulate (eg.noise_stimulated)."""
+    return tuple(t for t in c.trees if not (t.roots & eg.noise_stimulated))
 
 
 def select_roots(pi_s: tuple[Pseudotree, ...]) -> tuple[int, ...]:
@@ -61,14 +58,14 @@ def prune(
     every in-neighborhood inside its own tree. The final verification
     re-checks every internal vertex; on failure the most recent removals are
     restored one at a time until it passes or none is left. covering_used
-    is the covering pi_s came from, carried into the result.
+    is the covering pi_s came from, carried into the result along with
+    excitation_bounds(eg, covering_used).
     """
-    v_e = eg.noise_vertices | eg.noise_driven
     active = set(r0)
     pruned: list[int] = []
     for k, tree in enumerate(pi_s):
         tau = r0[k]
-        trial = frozenset(active - {tau}) | v_e
+        trial = frozenset(active - {tau}) | eg.noise_stimulated
         if all(
             c.achieved == c.required
             for c in vertex_checks(eg, trial, tree.vertices & eg.internal)
@@ -86,6 +83,7 @@ def prune(
         covering_used=covering_used,
         pruned=tuple(pruned),
         verified=verified,
+        bounds=excitation_bounds(eg, covering_used),
     )
 
 
@@ -112,5 +110,5 @@ def allocate(eg: ExtendedGraph) -> AllocationResult:
     exit 4 with a reason.
     """
     covering, _ = algorithm1_merge(eg)
-    pi_s, _ = noise_rooted_filter(covering, eg)
+    pi_s = noise_rooted_filter(covering, eg)
     return prune(eg, pi_s, select_roots(pi_s), covering_used=covering)

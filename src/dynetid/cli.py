@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from dynetid.allocation import allocate
+from dynetid.allocation import AllocationResult, allocate
 from dynetid.dual import select_measurements
 from dynetid.identifiability import check_generic_identifiability, excitation_bounds
 from dynetid.model import (
@@ -176,36 +176,33 @@ def _cmd_cover(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tupl
     return result, EXIT_OK
 
 
-def _cmd_allocate(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
-    result = allocate(eg)
-    lower, upper = excitation_bounds(eg, result.covering_used)
+def _selection_payload(
+    result: AllocationResult, chosen: str, count: str, noun: str
+) -> tuple[dict, int]:
+    """Report of either selection; chosen and count name its keys."""
+    lower, upper = result.bounds
     payload = {
-        "excited": list(result.excited),
+        chosen: list(result.excited),
         "pruned": list(result.pruned),
         "verified": result.verified,
         "bounds": {"lower": lower, "upper": upper},
-        "tree_count": len(result.covering_used.trees),
+        count: len(result.covering_used.trees),
     }
     if not result.verified:
-        payload["reason"] = "no excitation set passed verification"
+        payload["reason"] = f"no {noun} set passed verification"
     return payload, EXIT_OK if result.verified else EXIT_UNSATISFIABLE
+
+
+def _cmd_allocate(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
+    return _selection_payload(allocate(eg), "excited", "tree_count", "excitation")
 
 
 def _cmd_allocate_measurements(
     m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace
 ) -> tuple[dict, int]:
-    selection = select_measurements(m)
-    lower, upper = selection.bounds
-    payload = {
-        "measured": list(selection.measured),
-        "pruned": list(selection.pruned),
-        "verified": selection.verified,
-        "bounds": {"lower": lower, "upper": upper},
-        "anti_tree_count": len(selection.anti_trees),
-    }
-    if not selection.verified:
-        payload["reason"] = "no measurement set passed verification"
-    return payload, EXIT_OK if selection.verified else EXIT_UNSATISFIABLE
+    return _selection_payload(
+        select_measurements(m), "measured", "anti_tree_count", "measurement"
+    )
 
 
 def _cmd_bounds(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:

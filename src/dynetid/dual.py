@@ -7,7 +7,13 @@ digraphs with all out-degrees at most one, whose roots every other vertex
 reaches by exactly one path. Reversing every edge turns one problem into the
 other, so the implementation runs the primal pipeline and the primal bounds
 (allocation.allocate, identifiability.excitation_bounds) on the
-reversed graph with zero noise channels and maps the results back.
+reversed graph with zero noise channels.
+
+select_measurements therefore returns allocate's own AllocationResult: its
+excited vertices are the ones to measure, its bounds are the measurement
+bounds, and its covering_used covers the reversed graph. The
+anti-pseudotrees are that covering's trees with every edge flipped back;
+their roots are the same.
 
 The input is an ordinary ModelSet. Its excitation pattern is ignored (every
 vertex counts as excited), it must have no noise columns (p = 0), and every
@@ -16,10 +22,8 @@ nonzero module must be parameterized; validate_dual lists what breaks this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from dynetid.allocation import allocate
-from dynetid.graph import DiGraph, Edge
+from dynetid.allocation import AllocationResult, allocate
+from dynetid.graph import DiGraph
 from dynetid.identifiability import excitation_bounds
 from dynetid.model import EntryStatus, ExtendedGraph, InvalidModelError, ModelSet
 from dynetid.pseudotree import Covering
@@ -54,25 +58,6 @@ def _require_dual(m: ModelSet) -> None:
         raise InvalidDualModelError(violations)
 
 
-@dataclass(frozen=True)
-class AntiPseudotree:
-    """Edges in the original orientation; roots are the measured endpoints."""
-
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
-    roots: frozenset[int]
-
-
-@dataclass(frozen=True)
-class DualSelection:
-    measured: tuple[int, ...]
-    anti_trees: tuple[AntiPseudotree, ...]
-    reversed_covering: Covering
-    pruned: tuple[int, ...]
-    verified: bool
-    bounds: tuple[int, int]
-
-
 def _reversed_extended(m: ModelSet) -> ExtendedGraph:
     rev = DiGraph(frozenset(range(1, m.L + 1)), frozenset((h, t) for t, h in m.modules))
     return ExtendedGraph(
@@ -86,35 +71,16 @@ def _reversed_extended(m: ModelSet) -> ExtendedGraph:
     )
 
 
-def select_measurements(m: ModelSet) -> DualSelection:
+def select_measurements(m: ModelSet) -> AllocationResult:
     """Pick a measured vertex set supporting disjoint paths from every
     out-neighborhood.
 
     Runs allocate on the reversed graph; a reversed pseudotree is an
     anti-pseudotree of the original graph and its roots are the vertices to
-    measure. bounds are measurement_bounds(m, reversed_covering), read from
-    the same reversed graph.
+    measure. The result's bounds equal measurement_bounds(m, covering_used).
     """
     _require_dual(m)
-    rev = _reversed_extended(m)
-    result = allocate(rev)
-    covering = result.covering_used
-    anti = tuple(
-        AntiPseudotree(
-            vertices=t.vertices,
-            edges=frozenset((h, t_) for t_, h in t.edges),
-            roots=t.roots,
-        )
-        for t in covering.trees
-    )
-    return DualSelection(
-        measured=result.excited,
-        anti_trees=anti,
-        reversed_covering=covering,
-        pruned=result.pruned,
-        verified=result.verified,
-        bounds=excitation_bounds(rev, covering),
-    )
+    return allocate(_reversed_extended(m))
 
 
 def measurement_bounds(

@@ -73,7 +73,7 @@ def check_with_excitations(eg: ExtendedGraph, trial_excited) -> IdentReport:
     if not trial <= eg.internal:
         bad = sorted(trial - eg.internal)
         raise ValueError(f"trial excitations {bad} are not internal vertices")
-    return _report_for(eg, trial | eg.noise_vertices | eg.noise_driven)
+    return _report_for(eg, trial | eg.noise_stimulated)
 
 
 def excitation_bounds(

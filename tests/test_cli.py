@@ -13,7 +13,6 @@ import dynetid.dual
 import dynetid.model
 from dynetid.allocation import AllocationResult
 from dynetid.cli import main
-from dynetid.dual import DualSelection
 from dynetid.graph import DiGraph
 from dynetid.model import EntryStatus, ModelSet
 from dynetid.modelfile import serialize_model
@@ -203,14 +202,19 @@ class TestAllocateCommand:
 
     def test_unverified_result_exits_4(self, tmp_path, capsys, monkeypatch):
         fake = AllocationResult(
-            excited=(), covering_used=empty_covering(), pruned=(), verified=False
+            excited=(),
+            covering_used=empty_covering(),
+            pruned=(),
+            verified=False,
+            bounds=(2, 0),
         )
         monkeypatch.setattr(cli, "allocate", lambda m: fake)
         code, out, _ = run(capsys, ["allocate", write_model(tmp_path, diamond_model())])
         assert code == 4
         result = json.loads(out)["result"]
         assert result["verified"] is False
-        assert "reason" in result
+        assert result["bounds"] == {"lower": 2, "upper": 0}
+        assert result["reason"] == "no excitation set passed verification"
 
 
 class TestAllocateMeasurementsCommand:
@@ -243,10 +247,9 @@ class TestAllocateMeasurementsCommand:
         ]
 
     def test_unverified_result_exits_4(self, tmp_path, capsys, monkeypatch):
-        fake = DualSelection(
-            measured=(),
-            anti_trees=(),
-            reversed_covering=empty_covering(),
+        fake = AllocationResult(
+            excited=(),
+            covering_used=empty_covering(),
             pruned=(),
             verified=False,
             bounds=(1, 0),
@@ -255,7 +258,9 @@ class TestAllocateMeasurementsCommand:
         m = ModelSet.from_edges(3, [(1, 2), (2, 3)])
         code, out, _ = run(capsys, ["allocate-measurements", write_model(tmp_path, m)])
         assert code == 4
-        assert "reason" in json.loads(out)["result"]
+        result = json.loads(out)["result"]
+        assert result["bounds"] == {"lower": 1, "upper": 0}
+        assert result["reason"] == "no measurement set passed verification"
 
 
 class TestBoundsCommand:

@@ -79,41 +79,40 @@ class TestValidateDual:
 class TestSelectMeasurements:
     def test_single_edge(self):
         sel = select_measurements(ModelSet.from_edges(2, [(1, 2)]))
-        assert sel.measured == (2,)
+        assert sel.excited == (2,)
         assert sel.verified
 
     def test_chain(self):
         sel = select_measurements(ModelSet.from_edges(3, [(1, 2), (2, 3)]))
-        assert sel.measured == (3,)
-        assert len(sel.anti_trees) == 1
+        assert sel.excited == (3,)
+        assert len(sel.covering_used.trees) == 1
 
     def test_diamond(self):
         sel = select_measurements(diamond())
-        assert sel.measured == (3, 4)
-        assert len(sel.measured) == 2  # vertex 1's out-degree forces two
+        assert sel.excited == (3, 4)
+        assert len(sel.excited) == 2  # vertex 1's out-degree forces two
         assert sel.verified
 
     def test_no_edges(self):
         sel = select_measurements(ModelSet.from_edges(2, []))
-        assert sel.measured == ()
+        assert sel.excited == ()
         assert sel.verified
-        assert sel.anti_trees == ()
+        assert sel.covering_used.trees == ()
 
-    def test_anti_trees_mirror_the_reversed_covering(self):
-        sel = select_measurements(diamond())
-        assert len(sel.anti_trees) == len(sel.reversed_covering.trees)
-        for anti, rev in zip(sel.anti_trees, sel.reversed_covering.trees):
-            assert anti.edges == {(h, t) for t, h in rev.edges}
-            assert anti.vertices == rev.vertices
-            assert anti.roots == rev.roots
+    def test_flipped_covering_gives_anti_pseudotrees(self):
+        m = diamond()
+        sel = select_measurements(m)
+        anti_trees = [{(h, t) for t, h in rev.edges} for rev in sel.covering_used.trees]
+        assert set().union(*anti_trees) == m.internal_edges()
+        for anti in anti_trees:
             # out-degrees within an anti-pseudotree stay at most one
-            tails = [t for t, _ in anti.edges]
+            tails = [t for t, _ in anti]
             assert len(tails) == len(set(tails))
 
     def test_out_neighborhood_condition(self):
         m = diamond()
         g = graph_of(m)
-        measured = set(select_measurements(m).measured)
+        measured = set(select_measurements(m).excited)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)
             if outs:
@@ -129,7 +128,7 @@ class TestSelectMeasurements:
         sel = select_measurements(m)
         assert sel.verified
         g = graph_of(m)
-        measured = set(sel.measured)
+        measured = set(sel.excited)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)
             if outs:
@@ -142,8 +141,8 @@ class TestSelectMeasurements:
         n, edges = random_all_param_edges(rng)
         assume(not any(t == h for t, h in edges))
         sel = select_measurements(ModelSet.from_edges(n, edges))
-        assert covering_violations(sel.reversed_covering) == ()
-        rev_edges = {e for t in sel.reversed_covering.trees for e in t.edges}
+        assert covering_violations(sel.covering_used) == ()
+        rev_edges = {e for t in sel.covering_used.trees for e in t.edges}
         assert rev_edges == {(h, t) for t, h in edges}
 
 
@@ -169,5 +168,5 @@ class TestMeasurementBounds:
         assume(touched == set(range(1, n + 1)))  # isolated vertices inflate the sink count
         sel = select_measurements(m)
         lower, upper = measurement_bounds(m)
-        assert lower <= len(sel.measured) <= upper
-        assert sel.bounds == measurement_bounds(m, sel.reversed_covering)
+        assert lower <= len(sel.excited) <= upper
+        assert sel.bounds == measurement_bounds(m, sel.covering_used)

@@ -32,14 +32,16 @@ def test_both_selections_are_verified_and_bounded(L):
     assert result.verified
     assert check_with_excitations(eg, result.excited).identifiable
     assert covering_violations(result.covering_used) == ()
-    lower, upper = excitation_bounds(eg, result.covering_used)
+    assert result.bounds == excitation_bounds(eg, result.covering_used)
+    lower, upper = result.bounds
     assert lower <= len(result.excited) <= upper
 
     sel = select_measurements(m)
     assert sel.verified
-    assert covering_violations(sel.reversed_covering) == ()
-    lower, upper = measurement_bounds(m, sel.reversed_covering)
-    assert lower <= len(sel.measured) <= upper
+    assert covering_violations(sel.covering_used) == ()
+    assert sel.bounds == measurement_bounds(m, sel.covering_used)
+    lower, upper = sel.bounds
+    assert lower <= len(sel.excited) <= upper
 
 
 @pytest.mark.parametrize("L", SIZES)

@@ -139,9 +139,11 @@ class TestIsPseudotree:
         assert ok and roots == {1}
 
     def test_host_containment_enforced(self):
+        # a tree leaving its host graph is a violation, not an exception
         host = DiGraph.of([1, 2], [(1, 2)])
-        with pytest.raises(ValueError, match="not contained"):
-            is_pseudotree([1, 2, 3], [(1, 2)], host=host)
+        tree = Pseudotree.from_edges([(1, 2), (1, 3)])
+        c = Covering(trees=(tree,), host=host, target_edges=tree.edges)
+        assert covering_violations(c) == ("tree 1 leaves the host graph",)
 
     def test_from_edges_rejects_non_pseudotree(self):
         with pytest.raises(ValueError, match="does not form a pseudotree"):
