@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -139,7 +140,7 @@ class _UsageError(Exception):
     """A command-line value the parser accepts but the command cannot use."""
 
 
-def _cmd_check(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_check(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     rep = check_generic_identifiability(eg)
     result = {
         "identifiable": rep.identifiable,
@@ -163,7 +164,7 @@ def _covering_payload(covering: Covering) -> list[dict]:
     ]
 
 
-def _cmd_cover(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_cover(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     covering, trace = algorithm1_merge(eg)
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
@@ -193,19 +194,17 @@ def _selection_payload(
     return payload, EXIT_OK if result.verified else EXIT_UNSATISFIABLE
 
 
-def _cmd_allocate(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_allocate(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     return _selection_payload(allocate(eg), "excited", "tree_count", "excitation")
 
 
-def _cmd_allocate_measurements(
-    m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace
-) -> tuple[dict, int]:
+def _cmd_allocate_measurements(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     return _selection_payload(
-        select_measurements(m), "measured", "anti_tree_count", "measurement"
+        select_measurements(eg), "measured", "anti_tree_count", "measurement"
     )
 
 
-def _cmd_bounds(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_bounds(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     covering, _ = algorithm1_merge(eg)
     lower, upper = excitation_bounds(eg, covering)
     result = {
@@ -217,9 +216,7 @@ def _cmd_bounds(m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace) -> tup
     return result, EXIT_OK
 
 
-def _cmd_oracle_compare(
-    m: ModelSet, eg: ExtendedGraph, args: argparse.Namespace
-) -> tuple[dict, int]:
+def _cmd_oracle_compare(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[dict, int]:
     if args.budget < 1:
         raise _UsageError("--budget must be at least 1")
     budget = OracleBudget(
@@ -275,7 +272,7 @@ def _run(args: argparse.Namespace, m: ModelSet) -> tuple[dict, int]:
         violations = validate(m).violations
     else:
         try:
-            return _HANDLERS[args.command](m, build_extended_graph(m), args)
+            return _HANDLERS[args.command](build_extended_graph(m), args)
         except InvalidModelError as exc:
             violations = exc.violations
     return {"ok": not violations, "violations": list(violations)}, (
@@ -286,6 +283,7 @@ def _run(args: argparse.Namespace, m: ModelSet) -> tuple[dict, int]:
 # ---- entry point ----
 
 
+@functools.cache  # one parser per process; parse_args gives each call a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynetid",

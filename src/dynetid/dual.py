@@ -15,17 +15,18 @@ bounds, and its covering_used covers the reversed graph. The
 anti-pseudotrees are that covering's trees with every edge flipped back;
 their roots are the same.
 
-The input is an ordinary ModelSet. Its excitation pattern is ignored (every
-vertex counts as excited), it must have no noise columns (p = 0), and every
-nonzero module must be parameterized; validate_dual lists what breaks this.
+The input is the ExtendedGraph that build_extended_graph validated, the
+same one allocate takes. Its stimulated set is ignored (every vertex counts
+as excited), it must have no noise channels (p = 0), and every nonzero
+module must be parameterized; validate_dual lists what breaks this.
 """
 
 from __future__ import annotations
 
 from dynetid.allocation import AllocationResult, allocate
-from dynetid.graph import DiGraph
+from dynetid.graph import reverse
 from dynetid.identifiability import excitation_bounds
-from dynetid.model import EntryStatus, ExtendedGraph, InvalidModelError, ModelSet
+from dynetid.model import ExtendedGraph, InvalidModelError
 from dynetid.pseudotree import Covering
 
 
@@ -33,36 +34,36 @@ class InvalidDualModelError(InvalidModelError):
     """Raised when a model does not fit the measurement-selection setting."""
 
 
-def validate_dual(m: ModelSet) -> tuple[str, ...]:
+def validate_dual(eg: ExtendedGraph) -> tuple[str, ...]:
     """Violations of the measurement-selection setting; empty means it fits.
 
-    A model with noise columns gets the p = 0 violation alone. Otherwise
-    self-loops come first, by vertex, then known modules, by (head, tail):
-    known transfers have no place here because the covering and the
-    per-vertex condition both read the full out-neighborhood.
+    A model with noise channels gets the p = 0 violation alone. Otherwise
+    each known module is one violation, by (head, tail): known transfers
+    have no place here because the covering and the per-vertex condition
+    both read the full out-neighborhood.
     """
-    if m.p:
+    if eg.p:
         return ("measurement selection requires a noise-free model (p = 0)",)
-    violations = [f"self-loop module at vertex {t}" for t, h in sorted(m.modules) if t == h]
-    for head, tail in sorted((h, t) for (t, h), s in m.modules.items() if s is EntryStatus.KNOWN):
-        violations.append(
-            f"module ({tail}, {head}) is known; measurement selection"
-            " expects every nonzero module to be parameterized"
-        )
-    return tuple(violations)
+    known = eg.graph.edges - eg.parameterized_edges
+    return tuple(
+        f"module ({tail}, {head}) is known; measurement selection"
+        " expects every nonzero module to be parameterized"
+        for head, tail in sorted((h, t) for t, h in known)
+    )
 
 
-def _require_dual(m: ModelSet) -> None:
-    violations = validate_dual(m)
+def _require_dual(eg: ExtendedGraph) -> None:
+    violations = validate_dual(eg)
     if violations:
         raise InvalidDualModelError(violations)
 
 
-def _reversed_extended(m: ModelSet) -> ExtendedGraph:
-    rev = DiGraph(frozenset(range(1, m.L + 1)), frozenset((h, t) for t, h in m.modules))
+def _reversed_extended(eg: ExtendedGraph) -> ExtendedGraph:
+    """The noise-free extended graph of the reversed network."""
+    rev = reverse(eg.graph)
     return ExtendedGraph(
         graph=rev,
-        L=m.L,
+        L=eg.L,
         noise_vertices=frozenset(),
         noise_driven=frozenset(),
         stimulated=frozenset(),
@@ -71,27 +72,25 @@ def _reversed_extended(m: ModelSet) -> ExtendedGraph:
     )
 
 
-def select_measurements(m: ModelSet) -> AllocationResult:
+def select_measurements(eg: ExtendedGraph) -> AllocationResult:
     """Pick a measured vertex set supporting disjoint paths from every
     out-neighborhood.
 
     Runs allocate on the reversed graph; a reversed pseudotree is an
     anti-pseudotree of the original graph and its roots are the vertices to
-    measure. The result's bounds equal measurement_bounds(m, covering_used).
+    measure. The result's bounds equal measurement_bounds(eg, covering_used).
     """
-    _require_dual(m)
-    return allocate(_reversed_extended(m))
+    _require_dual(eg)
+    return allocate(_reversed_extended(eg))
 
 
-def measurement_bounds(
-    m: ModelSet, covering: Covering | None = None
-) -> tuple[int, int]:
+def measurement_bounds(eg: ExtendedGraph, covering: Covering) -> tuple[int, int]:
     """Bounds on the measurement count.
 
     lower = max(sink count, largest out-neighborhood); upper = size of the
-    anti-pseudotree covering, defaulting to the heuristic's output on the
-    reversed graph. These are the excitation bounds of the reversed graph:
-    its sources are the sinks, its in-degrees the out-degrees, and p = 0.
+    anti-pseudotree covering, given as a covering of the reversed graph.
+    These are the excitation bounds of the reversed graph: its sources are
+    the sinks, its in-degrees the out-degrees, and p = 0.
     """
-    _require_dual(m)
-    return excitation_bounds(_reversed_extended(m), covering)
+    _require_dual(eg)
+    return excitation_bounds(_reversed_extended(eg), covering)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from dynetid.graph import max_vertex_disjoint_paths, sources_and_sinks
 from dynetid.model import ExtendedGraph, extended_in_neighbors
-from dynetid.pseudotree import Covering, algorithm1_merge
+from dynetid.pseudotree import Covering
 
 
 @dataclass(frozen=True)
@@ -76,27 +76,23 @@ def check_with_excitations(eg: ExtendedGraph, trial_excited) -> IdentReport:
     return _report_for(eg, trial | eg.noise_stimulated)
 
 
-def excitation_bounds(
-    eg: ExtendedGraph, covering: Covering | None = None
-) -> tuple[int, int]:
+def excitation_bounds(eg: ExtendedGraph, covering: Covering) -> tuple[int, int]:
     """Bounds on the number of designed excitations needed.
 
     lower = max(0, max(source count of the extended graph, largest
     parameterized in-neighborhood) - p) and upper = (covering tree count) -
     p, where p is the noise channel count, not the number of trees the
-    noise channels root; the covering defaults to the merge heuristic's
-    output. lower <= len(allocate(eg).excited) <= upper, with allocate's
-    covering, holds when every source of the extended graph has a
-    parameterized out-edge and every vertex driven by a single known noise
-    column is such a source. Outside these conditions upper can be
-    negative, lower can exceed upper, and an allocation can fall on either
-    side of the pair.
+    noise channels root, and the covering is the caller's: the merge
+    heuristic's output or an allocation's covering_used. lower <=
+    len(allocate(eg).excited) <= upper, with allocate's covering, holds
+    when every source of the extended graph has a parameterized out-edge
+    and every vertex driven by a single known noise column is such a
+    source. Outside these conditions upper can be negative, lower can
+    exceed upper, and an allocation can fall on either side of the pair.
     """
     sources, _ = sources_and_sinks(eg.graph)
     max_indeg = max(
         (len(extended_in_neighbors(eg, j)) for j in eg.internal), default=0
     )
     lower = max(0, max(len(sources), max_indeg) - eg.p)
-    if covering is None:
-        covering, _ = algorithm1_merge(eg)
     return lower, len(covering) - eg.p

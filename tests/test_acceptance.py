@@ -282,7 +282,7 @@ def test_criterion_10_measurement_duality():
         n, edges = random_all_param_edges(rng)
         m = ModelSet.from_edges(n, edges)
         instances += 1
-        sel = select_measurements(m)
+        sel = select_measurements(build_extended_graph(m))
         g = DiGraph.of(range(1, n + 1), edges)
         measured = set(sel.excited)
         for j in sorted(g.vertices):

@@ -119,9 +119,11 @@ class TestCoveringRoots:
     def test_unpruned_roots_pass_the_path_condition(self, seed):
         # allocate's verification rests on this: the roots of a disjoint
         # covering, plus the noise-stimulated vertices, are enough before
-        # prune drops anything. The reversed graph is the dual's input.
+        # prune drops anything. The reversed graph is the dual's input: the
+        # model without its noise and with every module parameterized.
         m = random_model(random.Random(seed), max_vertices=7, max_noise=3, known_share=0.35)
-        for eg in (build_extended_graph(m), _reversed_extended(m)):
+        dual = build_extended_graph(ModelSet.from_edges(m.L, m.modules))
+        for eg in (build_extended_graph(m), _reversed_extended(dual)):
             assert check_with_excitations(eg, unpruned_roots(eg)).identifiable
 
 

@@ -246,6 +246,18 @@ class TestAllocateMeasurementsCommand:
             for e in ((3, 1), (1, 2))
         ]
 
+    def test_validate_violations_come_first(self, tmp_path, capsys):
+        # The self-loop breaks a rule of validate, the known module one of
+        # the dual; validate gates every command, so only its list shows.
+        m = ModelSet.from_edges(3, [(1, 1), (1, 2, K), (2, 3)])
+        path = write_model(tmp_path, m)
+        code, out, _ = run(capsys, ["allocate-measurements", path])
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result == {"ok": False, "violations": ["self-loop module at vertex 1"]}
+        code, out, _ = run(capsys, ["validate", path])
+        assert (code, json.loads(out)["result"]) == (2, result)
+
     def test_unverified_result_exits_4(self, tmp_path, capsys, monkeypatch):
         fake = AllocationResult(
             excited=(),
@@ -254,7 +266,7 @@ class TestAllocateMeasurementsCommand:
             verified=False,
             bounds=(1, 0),
         )
-        monkeypatch.setattr(cli, "select_measurements", lambda m: fake)
+        monkeypatch.setattr(cli, "select_measurements", lambda eg: fake)
         m = ModelSet.from_edges(3, [(1, 2), (2, 3)])
         code, out, _ = run(capsys, ["allocate-measurements", write_model(tmp_path, m)])
         assert code == 4
@@ -389,6 +401,32 @@ class TestReportPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["ok"] is True
+
+
+class TestSharedParser:
+    """main builds its parser once per process, and no flag value of one
+    call reaches the next."""
+
+    def test_emit_dot_is_not_repeated(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        path = write_model(tmp_path, diamond_model())
+        dot = tmp_path / "covering.dot"
+        assert run(capsys, ["cover", path, "--emit-dot", str(dot)])[0] == 0
+        dot.unlink()
+        assert run(capsys, ["cover", path])[0] == 0
+        assert not dot.exists()
+
+    def test_format_falls_back_to_json(self, tmp_path, capsys):
+        path = write_model(tmp_path, diamond_model())
+        _, out, _ = run(capsys, ["check", path, "--format", "text"])
+        assert out.startswith('command: "check"')
+        _, out, _ = run(capsys, ["check", path])
+        assert json.loads(out)["command"] == "check"
+
+    def test_budget_falls_back_to_default(self, tmp_path, capsys):
+        path = write_model(tmp_path, diamond_model())
+        assert run(capsys, ["oracle-compare", path, "--budget", "3"])[0] == 5
+        assert run(capsys, ["oracle-compare", path])[0] == 0
 
 
 class TestValidationCount:

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from dynetid.dual import (
     InvalidDualModelError,
+    _reversed_extended,
     measurement_bounds,
     select_measurements,
     validate_dual,
 )
 from dynetid.graph import DiGraph, max_vertex_disjoint_paths
-from dynetid.model import EntryStatus, ModelSet
-from dynetid.pseudotree import covering_violations
+from dynetid.model import EntryStatus, ExtendedGraph, ModelSet, build_extended_graph
+from dynetid.pseudotree import algorithm1_merge, covering_violations
 
 from .randgen import random_all_param_edges
 
@@ -25,6 +26,16 @@ P, K = EntryStatus.PARAMETERIZED, EntryStatus.KNOWN
 
 def diamond() -> ModelSet:
     return ModelSet.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+
+
+def extended(n: int, edges=()) -> ExtendedGraph:
+    return build_extended_graph(ModelSet.from_edges(n, edges))
+
+
+def heuristic_bounds(eg: ExtendedGraph) -> tuple[int, int]:
+    """measurement_bounds with the merge heuristic's reversed covering."""
+    covering, _ = algorithm1_merge(_reversed_extended(eg))
+    return measurement_bounds(eg, covering)
 
 
 def graph_of(m: ModelSet) -> DiGraph:
@@ -48,60 +59,58 @@ class TestConstruction:
 
 class TestValidateDual:
     def test_clean_model(self):
-        assert validate_dual(diamond()) == ()
-
-    def test_self_loop(self):
-        m = ModelSet.from_edges(2, [(1, 1), (1, 2)])
-        assert any("self-loop" in v for v in validate_dual(m))
+        assert validate_dual(build_extended_graph(diamond())) == ()
 
     def test_known_module_rejected(self):
-        m = ModelSet.from_edges(2, [(1, 2, K)])
-        violations = validate_dual(m)
+        eg = extended(2, [(1, 2, K)])
+        violations = validate_dual(eg)
         assert any("parameterized" in v for v in violations)
         with pytest.raises(InvalidDualModelError, match="parameterized") as info:
-            select_measurements(m)
+            select_measurements(eg)
         assert info.value.violations == violations
 
     def test_noise_model_rejected(self):
         m = ModelSet.from_edges(2, [(1, 2, K)], noise_columns=[[(1, P)]])
-        assert validate_dual(m) == (
+        eg = build_extended_graph(m)
+        assert validate_dual(eg) == (
             "measurement selection requires a noise-free model (p = 0)",
         )
         with pytest.raises(InvalidDualModelError, match="noise-free"):
-            select_measurements(m)
+            select_measurements(eg)
         with pytest.raises(InvalidDualModelError, match="noise-free"):
-            measurement_bounds(m)
+            measurement_bounds(eg, algorithm1_merge(eg)[0])
 
     def test_excitations_are_ignored(self):
-        assert validate_dual(ModelSet.from_edges(2, [(1, 2)], excited=[1])) == ()
+        m = ModelSet.from_edges(2, [(1, 2)], excited=[1])
+        assert validate_dual(build_extended_graph(m)) == ()
 
 
 class TestSelectMeasurements:
     def test_single_edge(self):
-        sel = select_measurements(ModelSet.from_edges(2, [(1, 2)]))
+        sel = select_measurements(extended(2, [(1, 2)]))
         assert sel.excited == (2,)
         assert sel.verified
 
     def test_chain(self):
-        sel = select_measurements(ModelSet.from_edges(3, [(1, 2), (2, 3)]))
+        sel = select_measurements(extended(3, [(1, 2), (2, 3)]))
         assert sel.excited == (3,)
         assert len(sel.covering_used.trees) == 1
 
     def test_diamond(self):
-        sel = select_measurements(diamond())
+        sel = select_measurements(build_extended_graph(diamond()))
         assert sel.excited == (3, 4)
         assert len(sel.excited) == 2  # vertex 1's out-degree forces two
         assert sel.verified
 
     def test_no_edges(self):
-        sel = select_measurements(ModelSet.from_edges(2, []))
+        sel = select_measurements(extended(2))
         assert sel.excited == ()
         assert sel.verified
         assert sel.covering_used.trees == ()
 
     def test_flipped_covering_gives_anti_pseudotrees(self):
         m = diamond()
-        sel = select_measurements(m)
+        sel = select_measurements(build_extended_graph(m))
         anti_trees = [{(h, t) for t, h in rev.edges} for rev in sel.covering_used.trees]
         assert set().union(*anti_trees) == m.internal_edges()
         for anti in anti_trees:
@@ -112,7 +121,7 @@ class TestSelectMeasurements:
     def test_out_neighborhood_condition(self):
         m = diamond()
         g = graph_of(m)
-        measured = set(select_measurements(m).excited)
+        measured = set(select_measurements(build_extended_graph(m)).excited)
         for j in sorted(g.vertices):
             outs = g.out_neighbors(j)
             if outs:
@@ -125,7 +134,7 @@ class TestSelectMeasurements:
         n, edges = random_all_param_edges(rng)
         m = ModelSet.from_edges(n, edges)
         assume(not any(t == h for t, h in edges))
-        sel = select_measurements(m)
+        sel = select_measurements(build_extended_graph(m))
         assert sel.verified
         g = graph_of(m)
         measured = set(sel.excited)
@@ -140,7 +149,7 @@ class TestSelectMeasurements:
         rng = random.Random(seed)
         n, edges = random_all_param_edges(rng)
         assume(not any(t == h for t, h in edges))
-        sel = select_measurements(ModelSet.from_edges(n, edges))
+        sel = select_measurements(extended(n, edges))
         assert covering_violations(sel.covering_used) == ()
         rev_edges = {e for t in sel.covering_used.trees for e in t.edges}
         assert rev_edges == {(h, t) for t, h in edges}
@@ -148,14 +157,13 @@ class TestSelectMeasurements:
 
 class TestMeasurementBounds:
     def test_diamond(self):
-        assert measurement_bounds(diamond()) == (2, 2)
+        assert heuristic_bounds(build_extended_graph(diamond())) == (2, 2)
 
     def test_chain(self):
-        assert measurement_bounds(ModelSet.from_edges(3, [(1, 2), (2, 3)])) == (1, 1)
+        assert heuristic_bounds(extended(3, [(1, 2), (2, 3)])) == (1, 1)
 
     def test_star_needs_one_per_sink(self):
-        m = ModelSet.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-        assert measurement_bounds(m) == (3, 3)
+        assert heuristic_bounds(extended(4, [(1, 2), (1, 3), (1, 4)])) == (3, 3)
 
     @given(SEEDS)
     @settings(max_examples=100, deadline=None)
@@ -163,10 +171,10 @@ class TestMeasurementBounds:
         rng = random.Random(seed)
         n, edges = random_all_param_edges(rng)
         assume(not any(t == h for t, h in edges))
-        m = ModelSet.from_edges(n, edges)
+        eg = extended(n, edges)
         touched = {v for e in edges for v in e}
         assume(touched == set(range(1, n + 1)))  # isolated vertices inflate the sink count
-        sel = select_measurements(m)
-        lower, upper = measurement_bounds(m)
+        sel = select_measurements(eg)
+        lower, upper = heuristic_bounds(eg)
         assert lower <= len(sel.excited) <= upper
-        assert sel.bounds == measurement_bounds(m, sel.covering_used)
+        assert sel.bounds == measurement_bounds(eg, sel.covering_used)

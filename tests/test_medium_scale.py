@@ -36,16 +36,16 @@ def test_both_selections_are_verified_and_bounded(L):
     lower, upper = result.bounds
     assert lower <= len(result.excited) <= upper
 
-    sel = select_measurements(m)
+    sel = select_measurements(eg)
     assert sel.verified
     assert covering_violations(sel.covering_used) == ()
-    assert sel.bounds == measurement_bounds(m, sel.covering_used)
+    assert sel.bounds == measurement_bounds(eg, sel.covering_used)
     lower, upper = sel.bounds
     assert lower <= len(sel.excited) <= upper
 
 
 @pytest.mark.parametrize("L", SIZES)
 def test_unpruned_roots_pass_the_path_condition(L):
-    m = random_sparse_model(random.Random(f"medium/{L}"), L)
-    for eg in (build_extended_graph(m), _reversed_extended(m)):
+    forward = build_extended_graph(random_sparse_model(random.Random(f"medium/{L}"), L))
+    for eg in (forward, _reversed_extended(forward)):
         assert check_with_excitations(eg, unpruned_roots(eg)).identifiable

@@ -581,8 +581,9 @@ class TestMergeAgainstReference:
     @pytest.mark.parametrize("L", (50, 100, 200, 400))
     @pytest.mark.parametrize("side", ("extended", "reversed"))
     def test_sparse_models_match(self, L, side):
-        m = random_sparse_model(random.Random(L), L)
-        eg = build_extended_graph(m) if side == "extended" else _reversed_extended(m)
+        eg = build_extended_graph(random_sparse_model(random.Random(L), L))
+        if side == "reversed":
+            eg = _reversed_extended(eg)
         assert _dump(algorithm1_merge(eg)) == _dump(reference_merge(eg))
 
     @pytest.mark.parametrize("seed", (93, 95, 154, 274))
