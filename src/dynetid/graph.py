@@ -4,8 +4,10 @@ Vertices are arbitrary positive integers; nothing requires them to be
 contiguous. Graphs are immutable after construction and every operation is a
 pure function, so values can be shared freely. The one mutable thing a
 graph holds is its flow kernel, which max_vertex_disjoint_paths builds on
-first use and restores after every call: a cache that no result,
-comparison, hash or repr can observe. Counting paths on one graph from two
+first use and restores after every call, together with a shortest-path
+forest from the last source set it counted from, rebuilt only when the
+source set changes: caches that no result, comparison, hash or repr can
+observe, with no setting of their own. Counting paths on one graph from two
 threads at once is not supported. All iteration is in ascending id order to
 keep downstream reports deterministic.
 """
@@ -97,9 +99,14 @@ class _SplitGraph:
     ones, each of capacity one: v_in -> v_out for every vertex and
     t_out -> h_in for every edge. The odd arcs are their residual partners,
     of capacity zero. Every count leaves the capacities as it found them.
+
+    forest is a breadth-first forest over the real arcs from the in-nodes of
+    forest_src, the last source set counted: forest[b] is the arc that
+    reached node b, -1 at a root and -2 where no source reaches. It depends
+    on the source set only, so it is rebuilt only when that set changes.
     """
 
-    __slots__ = ("index", "head", "arcs", "cap")
+    __slots__ = ("index", "head", "arcs", "cap", "forest_src", "forest")
 
     def __init__(self, g: DiGraph) -> None:
         self.index = {v: i for i, v in enumerate(sorted(g.vertices))}
@@ -115,24 +122,71 @@ class _SplitGraph:
         self.head = head
         self.arcs = [tuple(ks) for ks in arcs]
         self.cap = [1, 0] * len(pairs)
+        self.forest_src: frozenset[int] | None = None
+        self.forest: list[int] = []
+
+    def _forest(self, sources: frozenset[int]) -> list[int]:
+        """The forest of sources, built unless it is the one cached. Only
+        in-nodes are queued: in-node a's one real arc is arc a, to a + 1."""
+        if sources is not self.forest_src and sources != self.forest_src:
+            head, arcs = self.head, self.arcs
+            forest = [-2] * len(arcs)
+            queue = [2 * self.index[v] for v in sources]
+            for a in queue:
+                forest[a] = -1
+            for a in queue:
+                forest[a + 1] = a
+                for k in arcs[a + 1]:
+                    b = head[k]
+                    if not k & 1 and forest[b] == -2:
+                        forest[b] = k
+                        queue.append(b)
+            self.forest_src, self.forest = sources, forest
+        return self.forest
 
     def count(self, sources: frozenset[int], targets: frozenset[int]) -> int:
         """Augment from the free sources to the free targets until no path is
         left or every source or every target is used. A source is free until
-        a path starts at it, a target until a path ends at it."""
-        index, head, cap = self.index, self.head, self.cap
-        free_src = {2 * index[v] for v in sources}
-        free_tgt = {2 * index[v] + 1 for v in targets}
-        goal = min(len(free_src), len(free_tgt))
+        a path starts at it, a target until a path ends at it. The sources'
+        in-nodes are the forest's roots: the walks below take roots not yet
+        in used, and a search meets only free roots (see _search), so a
+        call costs nothing per source while the forest holds.
+
+        Each target is first walked up the source forest to its root, and
+        the walk is augmented if that root is still free. Two forest paths
+        that share a node share the rest of the way to the root, so a free
+        root means a path disjoint from every path taken so far. The
+        backward searches then finish the max-flow from that flow."""
+        head, cap = self.head, self.cap
+        forest = self._forest(sources)
+        free_tgt = {2 * self.index[v] + 1 for v in targets}
+        goal = min(len(sources), len(free_tgt))
+        used: set[int] = set()
         touched: list[int] = []
         flow = 0
         try:
+            for t in tuple(free_tgt):
+                if flow == goal:
+                    break
+                path: list[int] = []
+                node, k = t, forest[t]
+                while k >= 0:
+                    path.append(k)
+                    node = head[k ^ 1]
+                    k = forest[node]
+                if k == -1 and node not in used:
+                    used.add(node)
+                    free_tgt.remove(t)
+                    for k in path:
+                        cap[k] = 0
+                        cap[k ^ 1] = 1
+                    touched += path
+                    flow += 1
             while flow < goal:
-                found = self._search(free_src, free_tgt)
+                found = self._search(forest, free_tgt)
                 if found is None:
                     break
                 node, via = found
-                free_src.remove(node)
                 k = via[node]
                 while k >= 0:
                     cap[k] -= 1
@@ -149,15 +203,21 @@ class _SplitGraph:
         return flow
 
     def _search(
-        self, free_src: set[int], free_tgt: set[int]
+        self, forest: list[int], free_tgt: set[int]
     ) -> tuple[int, dict[int, int]] | None:
         """Breadth-first search backward over residual arcs from every free
-        target. Returns the first free source reached, with the arc by which
-        each visited node steps toward a target (-1 at the targets).
+        target. Returns the first source reached, a root of forest, with the
+        arc by which each visited node steps toward a target (-1 at the
+        targets). That source is free: a used source's in-node has no
+        residual arc out, since its one real arc carries the path that
+        starts there, so no search reaches it.
 
         The search starts from the targets because they are the small side:
         a path check's targets are one vertex's in-neighbourhood, while its
-        sources can be half the graph."""
+        sources can be half the graph. It runs only after count has taken
+        every disjoint path the source forest offers, so it is left with the
+        targets that walk would not serve: those the sources do not reach,
+        and those whose forest path crosses one already taken."""
         head, arcs, cap = self.head, self.arcs, self.cap
         via = dict.fromkeys(free_tgt, -1)
         queue = list(free_tgt)
@@ -166,7 +226,7 @@ class _SplitGraph:
                 a = head[k]
                 if cap[k ^ 1] and a not in via:
                     via[a] = k ^ 1
-                    if a in free_src:
+                    if forest[a] == -1:
                         return a, via
                     queue.append(a)
         return None
@@ -184,9 +244,14 @@ def max_vertex_disjoint_paths(
     v_in -> v_out of capacity one, so no two paths can share v, and a path
     starts at a source's v_in and ends at a target's v_out. The zero-length
     convention falls out of the construction. The split graph is built once
-    per graph, on its first call, and kept on the graph. Each call searches
-    backward from its free targets to the nearest free source, augments
-    along the path found, and stops as soon as the flow reaches
+    per graph, on its first call, and kept on the graph, together with a
+    breadth-first forest from the last call's sources; callers that ask
+    about one source set for many target sets, as a check of every vertex
+    does, build that forest once. Each call first takes every target's
+    forest path whose source is still free, which is already a set of
+    disjoint paths, then searches backward from the free targets left to
+    the nearest free source and augments along the path found until the
+    flow is maximum. It stops as soon as the flow reaches
     min(|sources|, |targets|), so a vertex whose check passes never pays for
     a failing search. On return the call undoes the arcs it touched, and
     only those.

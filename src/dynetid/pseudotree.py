@@ -135,15 +135,40 @@ def are_disjoint(t1: Pseudotree, t2: Pseudotree) -> bool:
 def is_mergeable(t1: Pseudotree, t2: Pseudotree) -> bool:
     """True when t1 can fold into t2.
 
-    The union of the two trees must itself be a pseudotree and every root of
-    t2 must reach every vertex of t1 inside the union. A root of t2 already
-    reaches all of t2, so that holds exactly when every root of t2 is a root
-    of the union. Callers supply trees that are disjoint in the covering
-    sense; vertex-disjoint pairs fail the connectivity test and come out
-    False.
+    By definition the union of the two trees must itself be a pseudotree
+    and every root of t2 must reach every vertex of t1 inside the union. For
+    trees that share no edge, as no two trees of a covering do, this is
+    decided from their roots and vertex sets without building the union:
+
+    - The union is a pseudotree exactly when the trees share a vertex and
+      no vertex is a head in both: it is then connected and keeps in-degree
+      at most one. A tree's heads are all its vertices but its root; a
+      cyclic pseudotree's heads are all its vertices.
+    - If t1 is a tree, t2's roots reach all of t1 exactly when they reach
+      t1's root r, since r reaches all of t1. r has no in-edge in t1, so
+      its only possible in-edge in the union comes from t2: if r lies in
+      t2, t2's roots reach it inside t2; if not, nothing but r reaches r.
+    - If t1 has a cycle, a cycle vertex's only in-edge in the union is its
+      own cycle edge, so only cycle vertices reach the cycle, and t2's roots
+      must all lie on it: t2's roots must be a subset of t1's. Then t2 is
+      a tree, since t1 leaves no shared vertex headless and the head test
+      passed only because the shared vertices are t2's root; that root, on
+      t1's cycle, reaches all of the union.
+
+    Vertex-disjoint pairs come out False. Pairs that share an edge fall
+    outside the covering contract: the shared edge's head is a head in
+    both, so they come out False as well, even where the union definition
+    would have said True.
     """
-    ok, roots = is_pseudotree(t1.vertices | t2.vertices, t1.edges | t2.edges)
-    return ok and t2.roots <= roots
+    shared = t1.vertices & t2.vertices
+    tree1 = len(t1.edges) < len(t1.vertices)
+    tree2 = len(t2.edges) < len(t2.vertices)
+    unheaded = (t1.roots if tree1 else frozenset()) | (t2.roots if tree2 else frozenset())
+    if not shared or not shared <= unheaded:
+        return False
+    if tree1:
+        return t1.roots <= t2.vertices
+    return t2.roots <= t1.roots
 
 
 # ---- coverings ----
@@ -199,19 +224,19 @@ def initial_covering(eg: ExtendedGraph) -> Covering:
 def merge_trees(c: Covering, i: int, j: int) -> Covering:
     """Fold tree i into tree j (1-based positions); roots are recomputed.
 
-    The union is tested once, by the is_mergeable rule, and the merged tree
-    takes the roots that test found. Recomputing guards against the union
-    closing a new root cycle, in which case the merged tree gains roots the
-    absorbing tree never had.
+    is_mergeable guards the merge, and the merged tree takes its roots from
+    is_pseudotree on the union: the union can close a new root cycle, as
+    (3, 1) folding into (1, 3) does, and then the merged tree gains roots
+    the absorbing tree never had.
     """
     n = len(c.trees)
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"invalid tree positions ({i}, {j}) for {n} trees")
     ti, tj = c.trees[i - 1], c.trees[j - 1]
-    vertices, edges = ti.vertices | tj.vertices, ti.edges | tj.edges
-    ok, roots = is_pseudotree(vertices, edges)
-    if not (ok and tj.roots <= roots):
+    if not is_mergeable(ti, tj):
         raise ValueError(f"tree {i} is not mergeable into tree {j}")
+    vertices, edges = ti.vertices | tj.vertices, ti.edges | tj.edges
+    _, roots = is_pseudotree(vertices, edges)
     trees = list(c.trees)
     trees[j - 1] = Pseudotree(vertices, edges, roots)
     del trees[i - 1]

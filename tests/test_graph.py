@@ -182,6 +182,88 @@ class TestFlowKernelAgainstReference:
             assert max_vertex_disjoint_paths(g, sources, targets) == want, kind
 
 
+def _reach(g: DiGraph, sources) -> set[int]:
+    seen = set(sources)
+    queue = list(seen)
+    for a in queue:
+        for b in g.out_neighbors(a) - seen:
+            seen.add(b)
+            queue.append(b)
+    return seen
+
+
+def _prune_runs(rng: random.Random, g: DiGraph):
+    """Runs of (sources, targets) calls that share one source set, the way
+    prune's per-tree trials and the final verification make them. The
+    source sets switch A -> B -> A, change to a set of the same size that
+    differs in one vertex, and include sets of the graph's sinks, which
+    reach nothing but themselves, alone and next to one other vertex, so
+    that many targets hang from one root. Targets are in-neighbourhoods, some
+    merged with a second one or with sources or vertices the sources never
+    reach."""
+    vs = g.sorted_vertices()
+    sinks = [v for v in vs if not g.out_neighbors(v)]
+    a = frozenset(rng.sample(vs, 3))
+    b = frozenset(rng.sample(vs, len(vs) // 2))
+    swapped = sorted(a)[1:] + [rng.choice([v for v in vs if v not in a])]
+    runs = [a, b, a, frozenset(swapped), b]
+    runs.append(frozenset(rng.sample(sinks, min(3, len(sinks)))))
+    runs.append(frozenset({rng.choice(sinks), rng.choice(vs)}))
+    for sources in runs:
+        unreached = sorted(set(vs) - _reach(g, sources))
+        for _ in range(rng.randint(10, 30)):
+            targets = set(g.in_neighbors(rng.choice(vs)))
+            if rng.random() < 0.3:
+                targets |= g.in_neighbors(rng.choice(vs))
+            if rng.random() < 0.3:
+                targets |= set(rng.sample(sorted(sources), 1))
+            if unreached and rng.random() < 0.3:
+                targets |= set(rng.sample(unreached, min(2, len(unreached))))
+            if targets:
+                yield sources, frozenset(targets)
+
+
+def _assert_forest_of(g: DiGraph, sources: frozenset[int]) -> None:
+    """The kernel's cached forest is a forest of the real arcs rooted at
+    exactly these sources' in-nodes and spanning what they reach."""
+    kernel = g._kernel
+    assert kernel.forest_src == sources
+    reached = {2 * kernel.index[v] + side for v in _reach(g, sources) for side in (0, 1)}
+    forest = kernel.forest
+    assert {b for b, k in enumerate(forest) if k != -2} == reached
+    assert {b for b, k in enumerate(forest) if k == -1} == {2 * kernel.index[v] for v in sources}
+    for b, k in enumerate(forest):
+        if k >= 0:
+            assert not k & 1 and kernel.head[k] == b and forest[kernel.head[k ^ 1]] != -2
+
+
+class TestSourceForest:
+    @pytest.mark.parametrize("reversed_graph", [False, True])
+    @pytest.mark.parametrize("L", [50, 100, 200, 400])
+    def test_prune_shaped_runs(self, L, reversed_graph):
+        # One cached forest serves each run, and its roots are the sources
+        # a count starts paths from. A stale forest, or a forest path taken
+        # although another path already used its root, shows as a count off
+        # the reference or a forest of the wrong set.
+        # A pendant path L + 1 -> L + 2 -> 1 leaves two vertices that only
+        # a set holding L + 1 reaches, on graphs every vertex reaches, and
+        # the isolated vertex L + 3 is a sink on every graph.
+        g = build_extended_graph(random_sparse_model(random.Random(f"forest/{L}"), L)).graph
+        if reversed_graph:
+            g = reverse(g)
+        g = DiGraph.of(g.vertices | {L + 1, L + 2, L + 3}, g.edges | {(L + 1, L + 2), (L + 2, 1)})
+        rng = random.Random(f"forest-calls/{L}/{reversed_graph}")
+        seen = {"source targets": 0, "unreached targets": 0, "short": 0}
+        for sources, targets in _prune_runs(rng, g):
+            want = flowref.max_vertex_disjoint_paths(g, sources, targets)
+            assert max_vertex_disjoint_paths(g, sources, targets) == want
+            _assert_forest_of(g, sources)
+            seen["source targets"] += bool(sources & targets)
+            seen["unreached targets"] += not targets <= _reach(g, sources)
+            seen["short"] += want < min(len(sources), len(targets))
+        assert all(seen.values()), seen
+
+
 SEEDS = st.integers(min_value=0, max_value=10**9)
 
 

@@ -314,6 +314,30 @@ class TestMergeTrees:
         with pytest.raises(ValueError, match="invalid tree positions"):
             merge_trees(c, 0, 1)
 
+    def test_union_closing_a_cycle_gains_roots(self):
+        # (3, 1) folds into (1, 3): the closed form says mergeable, and the
+        # merged tree takes both cycle vertices as roots from the union.
+        host = DiGraph.of([1, 3], [(1, 3), (3, 1)])
+        c = Covering(
+            trees=(Pseudotree.from_edges([(3, 1)]), Pseudotree.from_edges([(1, 3)])),
+            host=host,
+            target_edges=host.edges,
+        )
+        merged = merge_trees(c, 1, 2)
+        assert merged.trees[0].roots == {1, 3}
+        assert covering_violations(merged) == ()
+
+    def test_shared_edge_is_refused(self):
+        # Outside the covering contract: the union is the larger tree and
+        # a pseudotree, but the shared edge's head is a head in both.
+        host = DiGraph.of([1, 2, 3], [(1, 2), (2, 3)])
+        small = Pseudotree.from_edges([(1, 2)])
+        large = Pseudotree.from_edges([(1, 2), (2, 3)])
+        assert not is_mergeable(small, large)
+        c = Covering(trees=(small, large), host=host, target_edges=host.edges)
+        with pytest.raises(ValueError, match="not mergeable"):
+            merge_trees(c, 1, 2)
+
     def test_cycle_keeps_its_root_set(self):
         host = DiGraph.of([1, 2, 3, 4], [(1, 2), (2, 1), (2, 3), (3, 4)])
         cycle = Pseudotree.from_edges([(1, 2), (2, 1), (2, 3)])
@@ -486,6 +510,14 @@ class TestRootsDefinition:
             assert roots == frozenset()
 
 
+def _mergeable_by_union(t1: Pseudotree, t2: Pseudotree) -> bool:
+    """The definition: the union is a pseudotree in which every root of t2
+    reaches every vertex of t1."""
+    union = t1.edges | t2.edges
+    ok, _ = is_pseudotree(t1.vertices | t2.vertices, union)
+    return ok and all(t1.vertices <= _reach(union, r) for r in t2.roots)
+
+
 class TestMergeabilityDefinition:
     @given(SEEDS)
     @settings(max_examples=150, deadline=None)
@@ -504,15 +536,47 @@ class TestMergeabilityDefinition:
                 for j, t2 in enumerate(c.trees, start=1):
                     if i == j:
                         continue
-                    union = t1.edges | t2.edges
-                    ok, _ = is_pseudotree(t1.vertices | t2.vertices, union)
-                    want = ok and all(t1.vertices <= _reach(union, r) for r in t2.roots)
+                    want = _mergeable_by_union(t1, t2)
                     assert is_mergeable(t1, t2) is want
                     if want:
                         legal.append((i, j))
             if not legal:
                 break
             c = merge_trees(c, *rng.choice(legal))
+
+
+def _random_pseudotree(rng: random.Random, pool: list[int], cyclic: bool) -> Pseudotree:
+    """A random rooted tree on 2-5 vertices of pool, with one edge into the
+    root closing a cycle when cyclic."""
+    vs = rng.sample(pool, rng.randint(2, min(5, len(pool))))
+    edges = {(rng.choice(vs[:k]), vs[k]) for k in range(1, len(vs))}
+    if cyclic:
+        edges.add((rng.choice(vs[1:]), vs[0]))
+    return Pseudotree.from_edges(edges)
+
+
+class TestMergeabilityClosedForm:
+    def test_matches_the_union_on_random_edge_disjoint_pairs(self):
+        # Pairs drawn from a small shared pool overlap often; a quarter
+        # draw t2 from a pool of its own and share no vertex.
+        rng = random.Random("closed-form")
+        seen = dict.fromkeys(
+            ["mergeable cyclic t1", "cyclic t2", "shared tail", "vertex-disjoint", "mergeable"], 0
+        )
+        for _ in range(6000):
+            t1 = _random_pseudotree(rng, list(range(1, 8)), rng.random() < 0.4)
+            pool = list(range(20, 26)) if rng.random() < 0.25 else list(range(1, 8))
+            t2 = _random_pseudotree(rng, pool, rng.random() < 0.4)
+            if t1.edges & t2.edges:
+                continue
+            want = _mergeable_by_union(t1, t2)
+            assert is_mergeable(t1, t2) is want, (sorted(t1.edges), sorted(t2.edges))
+            seen["mergeable cyclic t1"] += want and len(t1.edges) == len(t1.vertices)
+            seen["cyclic t2"] += len(t2.edges) == len(t2.vertices)
+            seen["shared tail"] += bool({t for t, _ in t1.edges} & {t for t, _ in t2.edges})
+            seen["vertex-disjoint"] += not t1.vertices & t2.vertices
+            seen["mergeable"] += want
+        assert min(seen.values()) >= 50, seen
 
 
 class TestAlgorithmOneProperties:
