@@ -148,20 +148,21 @@ class _SplitGraph:
         """Augment from the free sources to the free targets until no path is
         left or every source or every target is used. A source is free until
         a path starts at it, a target until a path ends at it. The sources'
-        in-nodes are the forest's roots: the walks below take roots not yet
-        in used, and a search meets only free roots (see _search), so a
-        call costs nothing per source while the forest holds.
+        in-nodes are the forest's roots: the walks below take only free
+        roots, and so does a search (see _search), so a call costs nothing
+        per source while the forest holds.
 
         Each target is first walked up the source forest to its root, and
         the walk is augmented if that root is still free. Two forest paths
         that share a node share the rest of the way to the root, so a free
-        root means a path disjoint from every path taken so far. The
-        backward searches then finish the max-flow from that flow."""
+        root means a path disjoint from every path taken so far. Root a is
+        free exactly when cap[a] is 1: arc a is its vertex's own arc, and
+        every forest path from a takes it. The backward searches then
+        finish the max-flow from that flow."""
         head, cap = self.head, self.cap
         forest = self._forest(sources)
         free_tgt = {2 * self.index[v] + 1 for v in targets}
         goal = min(len(sources), len(free_tgt))
-        used: set[int] = set()
         touched: list[int] = []
         flow = 0
         try:
@@ -174,8 +175,7 @@ class _SplitGraph:
                     path.append(k)
                     node = head[k ^ 1]
                     k = forest[node]
-                if k == -1 and node not in used:
-                    used.add(node)
+                if k == -1 and cap[node]:
                     free_tgt.remove(t)
                     for k in path:
                         cap[k] = 0
@@ -254,15 +254,20 @@ def max_vertex_disjoint_paths(
     flow is maximum. It stops as soon as the flow reaches
     min(|sources|, |targets|), so a vertex whose check passes never pays for
     a failing search. On return the call undoes the arcs it touched, and
-    only those.
+    only those. An unknown source or target raises ValueError. A source set
+    passed again as the very object the cached forest was built from is not
+    checked again: it was checked before that forest was built.
     """
     src = frozenset(sources)
     tgt = frozenset(targets)
-    if not (src <= g.vertices and tgt <= g.vertices):
+    kernel = g._kernel
+    cached = kernel is not None and src is kernel.forest_src
+    if not ((cached or src <= g.vertices) and tgt <= g.vertices):
         for v in src | tgt:
             g._require(v)
     if not src or not tgt:
         return 0
-    if g._kernel is None:
-        object.__setattr__(g, "_kernel", _SplitGraph(g))
-    return g._kernel.count(src, tgt)
+    if kernel is None:
+        kernel = _SplitGraph(g)
+        object.__setattr__(g, "_kernel", kernel)
+    return kernel.count(src, tgt)

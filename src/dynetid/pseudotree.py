@@ -13,15 +13,17 @@ share a vertex, Zero anything else. CharMatrix is the dense form the paper
 writes down and reduce updates it after a merge: the odot fold of the merged
 row and column, plus the mergeability triangles the entrywise rules cannot
 see, which together reproduce the matrix recomputed from the merged
-covering. The merge loop runs on a sparse form of the same matrix: trees
-are keyed by an id, each row and each column keeps only its One and Zero
-entries, and a merge folds them in place, touching only the two trees' rows
-and columns. The trace and merge_trees speak in 1-based positions; a tree's
-position is its id's rank among the trees still live. The loop keeps the
-conservative odot-only fold and rebuilds the matrix from the covering
-between passes, so the coverings it produces stay as they were; the
-matrix-only entry points (reduce, matrix_only_merge) run the same fold with
-the triangle rule switched on.
+covering. The merge loop runs on a sparse form of the same matrix: trees are
+keyed by an id, each row and each column keeps only its One and Zero
+entries, as True and False, with Empty left out, and a merge folds them in
+place, touching only the two trees' rows and columns. Under that encoding
+odot is Python's `and`, with Empty as its identity, so CharEntry and odot
+appear only where a CharMatrix goes in or comes out. The trace and
+merge_trees speak in 1-based positions; a tree's position is its id's rank
+among the trees still live. The loop keeps the conservative odot-only fold
+and rebuilds the matrix from the covering between passes, so the coverings
+it produces stay as they were; the matrix-only entry points (reduce,
+matrix_only_merge) run the same fold with the triangle rule switched on.
 """
 
 from __future__ import annotations
@@ -345,18 +347,19 @@ def char_matrix_from_adjacency(
 class _MergeMatrix:
     """A characteristic matrix keyed by tree id, stored sparsely, folded in place.
 
-    rows[r] and cols[c] hold the One and Zero entries of row r and column c;
-    an absent key means Empty, and the diagonal, always Zero, is not stored.
-    ids lists the live ids, 1 to n at the start, in ascending order. A fold
-    keeps the order of the surviving trees, so an id's 1-based position in
-    the matrix is its rank there. ones counts the Ones of every row that has
-    any.
+    rows[r] and cols[c] hold the One and Zero entries of row r and column c
+    as booleans, True for One and False for Zero; an absent key means
+    Empty, and the diagonal, always Zero, is not stored. On this encoding
+    odot is `and` with Empty as its identity. ids lists the live ids, 1 to
+    n at the start, in ascending order. A fold keeps the order of the
+    surviving trees, so an id's 1-based position in the matrix is its rank
+    there. ones counts the Ones of every row that has any.
     """
 
     def __init__(self, n: int) -> None:
         self.ids = list(range(1, n + 1))
-        self.rows: dict[int, dict[int, CharEntry]] = {k: {} for k in self.ids}
-        self.cols: dict[int, dict[int, CharEntry]] = {k: {} for k in self.ids}
+        self.rows: dict[int, dict[int, bool]] = {k: {} for k in self.ids}
+        self.cols: dict[int, dict[int, bool]] = {k: {} for k in self.ids}
         self.ones: dict[int, int] = {}
 
     @classmethod
@@ -364,7 +367,8 @@ class _MergeMatrix:
         """The matrix of trees[k - 1] as id k, by the direct pairwise checks.
 
         Pairs that share no vertex are Empty, so only the pairs found through
-        a vertex -> trees index are tested.
+        a vertex -> trees index are tested, in any order: every reader takes
+        a minimum.
         """
         m = cls(len(trees))
         holders: dict[int, list[int]] = {}
@@ -372,9 +376,8 @@ class _MergeMatrix:
             for v in t.vertices:
                 holders.setdefault(v, []).append(k)
         pairs = {(a, b) for ks in holders.values() for a in ks for b in ks if a != b}
-        for a, b in sorted(pairs):
-            mergeable = is_mergeable(trees[a - 1], trees[b - 1])
-            m._put(a, b, CharEntry.ONE if mergeable else CharEntry.ZERO)
+        for a, b in pairs:
+            m._put(a, b, is_mergeable(trees[a - 1], trees[b - 1]))
         return m
 
     @classmethod
@@ -383,7 +386,7 @@ class _MergeMatrix:
         for r, row in enumerate(cm.entries, start=1):
             for c, e in enumerate(row, start=1):
                 if r != c and e is not CharEntry.EMPTY:
-                    m._put(r, c, e)
+                    m._put(r, c, e is CharEntry.ONE)
         return m
 
     def to_char_matrix(self) -> CharMatrix:
@@ -394,17 +397,17 @@ class _MergeMatrix:
             rows[p][p] = CharEntry.ZERO
         for r, row in self.rows.items():
             for c, e in row.items():
-                rows[pos[r]][pos[c]] = e
+                rows[pos[r]][pos[c]] = CharEntry.ONE if e else CharEntry.ZERO
         return CharMatrix.from_rows(rows)
 
     def position(self, k: int) -> int:
         return bisect_left(self.ids, k) + 1
 
-    def _put(self, r: int, c: int, e: CharEntry) -> None:
+    def _put(self, r: int, c: int, one: bool) -> None:
         row = self.rows[r]
-        self._count(r, (e is CharEntry.ONE) - (row.get(c) is CharEntry.ONE))
-        row[c] = e
-        self.cols[c][r] = e
+        self._count(r, one - row.get(c, False))
+        row[c] = one
+        self.cols[c][r] = one
 
     def _count(self, r: int, delta: int) -> None:
         if delta:
@@ -431,29 +434,29 @@ class _MergeMatrix:
         if best is None:
             return None
         r = best[1]
-        return r, min(c for c, e in self.rows[r].items() if e is CharEntry.ONE)
+        return r, min(c for c, e in self.rows[r].items() if e)
 
     def fold(self, i: int, j: int, triangles: bool) -> None:
         """Fold row/column i into row/column j by odot and drop id i.
 
         Only the entries of rows i and j and of columns i and j move. The
         new (j, c) is (i, c) odot (j, c) and the new (r, j) is (r, i) odot
-        (r, j); an Empty (i, c) or (r, i) leaves the old entry as it was.
-        With triangles, every k with (k, i) = One and (j, k) = One gets One
-        at (k, j) and (j, k) afterwards (see reduce).
+        (r, j); on the boolean entries odot is `and`, and an Empty (i, c) or
+        (r, i) leaves the old entry as it was, an Empty (j, c) or (r, j)
+        takes the other. With triangles, every k with (k, i) = One and
+        (j, k) = One gets One at (k, j) and (j, k) afterwards (see reduce).
         """
         rows, cols = self.rows, self.cols
         ri, ci, rj, cj = rows.pop(i), cols.pop(i), rows[j], cols[j]
-        one, empty = CharEntry.ONE, CharEntry.EMPTY
-        closed = [k for k, e in ci.items() if triangles and e is one and rj.get(k) is one]
-        row_j = {c: odot(e, rj.get(c, empty)) for c, e in ri.items() if c != j}
-        col_j = {r: odot(e, cj.get(r, empty)) for r, e in ci.items() if r != j}
+        closed = [k for k, e in ci.items() if e and rj.get(k)] if triangles else ()
+        row_j = {c: e and rj.get(c, True) for c, e in ri.items() if c != j}
+        col_j = {r: e and cj.get(r, True) for r, e in ci.items() if r != j}
         self.ones.pop(i, None)
         for c in ri:
             del cols[c][i]
         for r, e in ci.items():
             del rows[r][i]
-            if e is one:
+            if e:
                 self._count(r, -1)
         del self.ids[bisect_left(self.ids, i)]
         for c, e in row_j.items():
@@ -461,8 +464,8 @@ class _MergeMatrix:
         for r, e in col_j.items():
             self._put(r, j, e)
         for k in closed:
-            self._put(k, j, one)
-            self._put(j, k, one)
+            self._put(k, j, True)
+            self._put(j, k, True)
 
 
 def reduce(m: CharMatrix, i: int, j: int) -> CharMatrix:

@@ -140,6 +140,27 @@ class TestFlowKernelCache:
         assert r._kernel is not g._kernel
         assert max_vertex_disjoint_paths(g, {3}, {1}) == 0
 
+    def test_unknown_target_with_the_cached_sources(self):
+        # The cached forest's own source set skips its membership check,
+        # but the targets are still checked.
+        g = diamond()
+        sources = frozenset({1})
+        assert max_vertex_disjoint_paths(g, sources, {4}) == 1
+        assert g._kernel.forest_src is sources
+        with pytest.raises(ValueError, match="vertex 7 is not in the graph"):
+            max_vertex_disjoint_paths(g, sources, {4, 7})
+
+    def test_unknown_source_in_a_fresh_set(self):
+        # A source set other than the cached one is checked, even while a
+        # forest is cached, and the failed call leaves that forest alone.
+        g = diamond()
+        sources = frozenset({1})
+        assert max_vertex_disjoint_paths(g, sources, {4}) == 1
+        with pytest.raises(ValueError, match="vertex 7 is not in the graph"):
+            max_vertex_disjoint_paths(g, frozenset({1, 7}), {4})
+        assert g._kernel.forest_src is sources
+        assert max_vertex_disjoint_paths(g, sources, {2, 3}) == 1
+
 
 def _kernel_workload(rng: random.Random, g: DiGraph, calls: int):
     """Interleaved (sources, targets) sets of every shape the callers use,

@@ -107,6 +107,21 @@ class TestOdot:
         for a in CharEntry:
             assert odot(a, O) is O
 
+    @pytest.mark.parametrize("a", (O, I, E))
+    @pytest.mark.parametrize("b", (O, I, E))
+    def test_fold_of_the_boolean_encoding(self, a, b):
+        # _MergeMatrix keeps One as True and Zero as False and leaves Empty
+        # out. Folding tree 1 into tree 2 must store odot of their entries
+        # against tree 3, a at (1, 3) and (3, 1), b at (2, 3) and (3, 2),
+        # in that encoding, in the row and in the column.
+        encode = {I: True, O: False, E: None}
+        m = CharMatrix.from_rows([(O, I, a), (O, O, b), (a, b, O)])
+        sparse = _MergeMatrix.of_char_matrix(m)
+        sparse.fold(1, 2, triangles=False)
+        want = encode[odot(a, b)]
+        assert sparse.rows[2].get(3) is sparse.cols[3].get(2) is want
+        assert sparse.rows[3].get(2) is sparse.cols[2].get(3) is want
+
 
 class TestIsPseudotree:
     def test_star(self):
@@ -616,6 +631,27 @@ def _random_char_matrix(rng: random.Random) -> CharMatrix:
     )
 
 
+def _assert_bookkeeping(m: _MergeMatrix) -> None:
+    """Entries are booleans, rows and cols hold the same ones, the live ids
+    key both, and ones counts the True entries of every row that has any."""
+    entries = {(r, c, e) for r, row in m.rows.items() for c, e in row.items()}
+    assert entries == {(r, c, e) for c, col in m.cols.items() for r, e in col.items()}
+    assert all(e is True or e is False for _, _, e in entries)
+    assert sorted(m.rows) == sorted(m.cols) == m.ids
+    assert m.ones == {r: k for r, row in m.rows.items() if (k := sum(row.values()))}
+
+
+def _close_triangles(m: CharMatrix, folded: CharMatrix, i: int, j: int) -> CharMatrix:
+    """The triangle rule on folded, the fold of i into j: every k with
+    (k, i) = One and (j, k) = One in m gets One at (k, j) and (j, k)."""
+    rows = [list(row) for row in folded.entries]
+    at = {p: p - 1 - (p > i) for p in range(1, m.n + 1) if p != i}
+    for k in at:
+        if k != j and m.entry(k, i) is I and m.entry(j, k) is I:
+            rows[at[k]][at[j]] = rows[at[j]][at[k]] = I
+    return CharMatrix.from_rows(rows)
+
+
 class TestMergeAgainstReference:
     """The sparse in-place merge against the dense loop in tests/mergeref.py."""
 
@@ -623,19 +659,27 @@ class TestMergeAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_fold_and_pick_match_the_dense_ones(self, seed):
         # On any matrix, exact or not: the in-place fold without the
-        # triangle rule equals the dense odot fold for every One, and the
-        # sparse pick names the same positions as the dense row scan.
+        # triangle rule equals the dense odot fold for every One, with it
+        # that fold plus the triangle rule, and the sparse pick names the
+        # same positions as the dense row scan. Every fold keeps rows, cols
+        # and the One counts in step.
         rng = random.Random(seed)
         m = _random_char_matrix(rng)
         for forced in (True, False):
             sparse = _MergeMatrix.of_char_matrix(m)
+            _assert_bookkeeping(sparse)
             pick = sparse.pick(forced)
             got = None if pick is None else tuple(map(sparse.position, pick))
             assert got == _pick_row(m, forced)
         for i, j in _ones(m):
-            sparse = _MergeMatrix.of_char_matrix(m)
-            sparse.fold(i, j, triangles=False)
-            assert sparse.to_char_matrix() == _entrywise_fold(m, i, j)
+            for triangles in (False, True):
+                sparse = _MergeMatrix.of_char_matrix(m)
+                sparse.fold(i, j, triangles)
+                _assert_bookkeeping(sparse)
+                want = _entrywise_fold(m, i, j)
+                if triangles:
+                    want = _close_triangles(m, want, i, j)
+                assert sparse.to_char_matrix() == want
 
     def test_random_models_match(self):
         for seed in range(400):
