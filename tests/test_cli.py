@@ -102,6 +102,131 @@ class TestValidateCommand:
         assert "Traceback" not in err
 
 
+def parse_error_doc() -> dict:
+    """A well-formed document with every optional part, to break one field of."""
+    return {
+        "schema": 1,
+        "L": 4,
+        "modules": [
+            {"from": 1, "to": 2, "status": "param"},
+            {"from": 1, "to": 3, "status": "param"},
+            {"from": 2, "to": 4, "status": "known"},
+            {"from": 3, "to": 4, "status": "param"},
+        ],
+        "noise": {"p": 1, "columns": [[{"row": 2, "status": "param"}, {"row": 3, "status": "param"}]]},
+        "excited": [1, 3],
+        "strictly_proper": False,
+        "feedthrough_edges": [[1, 2], [2, 4]],
+    }
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def put(*path, value):
+    def edit(doc):
+        _at(doc, path[:-1])[path[-1]] = value
+        return doc
+    return edit
+
+
+def drop(*path):
+    def edit(doc):
+        del _at(doc, path[:-1])[path[-1]]
+        return doc
+    return edit
+
+
+def append(*path, value):
+    def edit(doc):
+        _at(doc, path).append(value)
+        return doc
+    return edit
+
+
+# One malformed file per ModelFileError message family, with its exact text.
+PARSE_ERRORS = [
+    ("document-not-object", lambda doc: [doc], "document must be a JSON object"),
+    ("document-unknown", put("extra", value=1), "document has unknown keys: extra"),
+    ("document-missing", drop("excited"), "document is missing keys: excited"),
+    ("module-not-object", put("modules", 1, value="x"), "modules[1] must be a JSON object"),
+    ("module-unknown", put("modules", 1, "weight", value=2), "modules[1] has unknown keys: weight"),
+    ("module-missing", drop("modules", 1, "to"), "modules[1] is missing keys: to"),
+    ("noise-not-object", put("noise", value=[]), '"noise" must be a JSON object'),
+    ("noise-unknown", put("noise", "q", value=1), '"noise" has unknown keys: q'),
+    ("noise-missing", drop("noise", "p"), '"noise" is missing keys: p'),
+    ("cell-not-object", put("noise", "columns", 0, 1, value=3),
+     "noise.columns[0][1] must be a JSON object"),
+    ("cell-unknown", put("noise", "columns", 0, 1, "col", value=1),
+     "noise.columns[0][1] has unknown keys: col"),
+    ("cell-missing", drop("noise", "columns", 0, 1, "row"),
+     "noise.columns[0][1] is missing keys: row"),
+    ("L-type", put("L", value="4"), '"L" must be an integer'),
+    ("L-range", put("L", value=0), '"L" must be >= 1, got 0'),
+    ("from-type", put("modules", 2, "from", value=2.0), 'modules[2]."from" must be an integer'),
+    ("from-range", put("modules", 2, "from", value=5), 'modules[2]."from" must be in 1..4, got 5'),
+    ("to-type", put("modules", 2, "to", value=True), 'modules[2]."to" must be an integer'),
+    ("to-range", put("modules", 2, "to", value=0), 'modules[2]."to" must be in 1..4, got 0'),
+    ("row-type", put("noise", "columns", 0, 0, "row", value=None),
+     'noise.columns[0][0]."row" must be an integer'),
+    ("row-range", put("noise", "columns", 0, 0, "row", value=5),
+     'noise.columns[0][0]."row" must be in 1..4, got 5'),
+    ("p-type", put("noise", "p", value="1"), '"noise.p" must be an integer'),
+    ("p-range", put("noise", "p", value=-1), '"noise.p" must be >= 0, got -1'),
+    ("excited-type", put("excited", 1, value=[3]), "excited[1] must be an integer"),
+    ("excited-range", put("excited", 1, value=9), "excited[1] must be in 1..4, got 9"),
+    ("pair-from-type", put("feedthrough_edges", 1, 0, value="2"),
+     "feedthrough_edges[1][0] must be an integer"),
+    ("pair-to-range", put("feedthrough_edges", 1, 1, value=5),
+     "feedthrough_edges[1][1] must be in 1..4, got 5"),
+    ("module-status", put("modules", 0, "status", value="free"),
+     'modules[0]."status" must be "param" or "known"'),
+    ("cell-status", put("noise", "columns", 0, 1, "status", value=1),
+     'noise.columns[0][1]."status" must be "param" or "known"'),
+    ("duplicate-module", append("modules", value={"from": 2, "to": 4, "status": "param"}),
+     "modules[4] duplicates module (2, 4)"),
+    ("duplicate-row", append("noise", "columns", 0, value={"row": 2, "status": "known"}),
+     "noise.columns[0][2] duplicates row 2"),
+    ("duplicate-vertex", append("excited", value=1), "excited[2] duplicates vertex 1"),
+    ("duplicate-edge", append("feedthrough_edges", value=[1, 2]),
+     "feedthrough_edges[2] duplicates edge (1, 2)"),
+    ("column-count", put("noise", "p", value=2), '"noise.columns" must list exactly p columns'),
+    ("column-not-list", put("noise", "columns", 0, value={}), "noise.columns[0] must be a list"),
+    ("pair-shape", put("feedthrough_edges", 0, value=[1, 2, 3]),
+     "feedthrough_edges[0] must be a [from, to] pair"),
+    ("schema", put("schema", value=2), '"schema" must be 1'),
+    ("strictly-proper", put("strictly_proper", value=0), '"strictly_proper" must be a boolean'),
+    ("modules-list", put("modules", value={}), '"modules" must be a list'),
+    ("excited-list", put("excited", value=None), '"excited" must be a list'),
+    ("feedthrough-list", put("feedthrough_edges", value=1), '"feedthrough_edges" must be a list'),
+]
+
+
+class TestParseErrors:
+    def test_base_document_is_well_formed(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(parse_error_doc()), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["ok"]
+
+    @pytest.mark.parametrize(
+        "edit, message", [case[1:] for case in PARSE_ERRORS], ids=[case[0] for case in PARSE_ERRORS]
+    )
+    def test_exact_stderr_and_no_report(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(parse_error_doc())), encoding="utf-8")
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, ["validate", str(path), "--out", str(report)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not report.exists()
+
+
 class TestCheckCommand:
     def test_identifiable(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["check", write_model(tmp_path, diamond_model())])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from dynetid.modelfile import (
     serialize_model,
 )
 
+from . import parseref
+from .malformed import KINDS, kinds_of, mutate
 from .randgen import random_model
 from .test_model import correlated_noise_model
 
@@ -183,6 +186,18 @@ class TestParsing:
         with pytest.raises(ModelFileError, match="duplicates vertex 1"):
             model_from_json(doc)
 
+    def test_excited_duplicate_check_is_not_quadratic(self):
+        n = 200_000
+        doc = {"schema": 1, "L": n, "modules": [], "excited": list(range(1, n + 1)),
+               "strictly_proper": True}
+        start = time.perf_counter()
+        assert len(model_from_json(doc).excited) == n
+        doc["excited"].append(7)
+        with pytest.raises(ModelFileError) as info:
+            model_from_json(doc)
+        assert time.perf_counter() - start < 5.0
+        assert str(info.value) == f"excited[{n}] duplicates vertex 7"
+
     def test_excited_range(self):
         doc = diamond_doc()
         doc["excited"] = [5]
@@ -206,6 +221,42 @@ class TestParsing:
         doc["feedthrough_edges"] = [[1, 2], [1, 2]]
         with pytest.raises(ModelFileError, match=r"duplicates edge \(1, 2\)"):
             model_from_json(doc)
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except Exception as exc:  # the exception type and message are the contract
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    """The inline-test parser against the helper-per-entry reference."""
+
+    @staticmethod
+    def _document(rng: random.Random) -> dict:
+        m = random_model(rng, max_vertices=6, max_noise=3, with_excitations=True)
+        doc = model_to_json(m)
+        if doc["modules"] and rng.random() < 0.8:
+            doc["strictly_proper"] = False
+            modules = [[e["from"], e["to"]] for e in doc["modules"]]
+            doc["feedthrough_edges"] = rng.sample(modules, rng.randint(1, len(modules)))
+        return doc
+
+    @given(SEEDS)
+    @settings(max_examples=500, deadline=None)
+    def test_same_model_or_same_error(self, seed):
+        rng = random.Random(seed)
+        doc = self._document(rng)
+        kinds = kinds_of(doc)
+        # Entries first and the enclosing objects last, so no mutation
+        # removes what a later one breaks. A broken document hides every
+        # other error, so it is broken least often.
+        for kind in reversed(KINDS):
+            if kind in kinds and rng.random() < (0.15 if kind == "document" else 0.5):
+                doc = mutate(doc, rng, kind)
+        expected = _outcome(parseref.model_from_json, doc)
+        assert _outcome(model_from_json, doc) == expected
 
 
 class TestSerialization:
