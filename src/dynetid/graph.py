@@ -3,13 +3,14 @@
 Vertices are arbitrary positive integers; nothing requires them to be
 contiguous. Graphs are immutable after construction and every operation is a
 pure function, so values can be shared freely. The one mutable thing a
-graph holds is its flow kernel, which max_vertex_disjoint_paths builds on
-first use and restores after every call, together with a shortest-path
-forest from the last source set it counted from, rebuilt only when the
-source set changes: caches that no result, comparison, hash or repr can
-observe, with no setting of their own. Counting paths on one graph from two
-threads at once is not supported. All iteration is in ascending id order to
-keep downstream reports deterministic.
+graph holds is its flow kernel, which max_vertex_disjoint_paths and
+disjoint_path_starts build on first use and restore after every call,
+together with a shortest-path forest from the last source set counted
+from, rebuilt only when the source set changes: caches that no result,
+comparison, hash or repr can observe, with no setting of their own.
+Counting paths on one graph from two threads at once is not supported. All
+iteration is in ascending id order to keep downstream reports
+deterministic.
 """
 
 from __future__ import annotations
@@ -104,12 +105,14 @@ class _SplitGraph:
     forest_src, the last source set counted: forest[b] is the arc that
     reached node b, -1 at a root and -2 where no source reaches. It depends
     on the source set only, so it is rebuilt only when that set changes.
+    order lists the vertices by index, so in-node a is vertex order[a >> 1].
     """
 
-    __slots__ = ("index", "head", "arcs", "cap", "forest_src", "forest")
+    __slots__ = ("order", "index", "head", "arcs", "cap", "forest_src", "forest")
 
     def __init__(self, g: DiGraph) -> None:
-        self.index = {v: i for i, v in enumerate(sorted(g.vertices))}
+        self.order = tuple(sorted(g.vertices))
+        self.index = {v: i for i, v in enumerate(self.order)}
         pairs = [(2 * i, 2 * i + 1) for i in range(len(self.index))]
         pairs += [(2 * self.index[t] + 1, 2 * self.index[h]) for t, h in sorted(g.edges)]
         arcs: list[list[int]] = [[] for _ in range(2 * len(self.index))]
@@ -144,9 +147,10 @@ class _SplitGraph:
             self.forest_src, self.forest = sources, forest
         return self.forest
 
-    def count(self, sources: frozenset[int], targets: frozenset[int]) -> int:
+    def count(self, sources: frozenset[int], targets: frozenset[int]) -> list[int]:
         """Augment from the free sources to the free targets until no path is
-        left or every source or every target is used. A source is free until
+        left or every source or every target is used, and return the
+        in-nodes the paths start from, one per path. A source is free until
         a path starts at it, a target until a path ends at it. The sources'
         in-nodes are the forest's roots: the walks below take only free
         roots, and so does a search (see _search), so a call costs nothing
@@ -164,10 +168,10 @@ class _SplitGraph:
         free_tgt = {2 * self.index[v] + 1 for v in targets}
         goal = min(len(sources), len(free_tgt))
         touched: list[int] = []
-        flow = 0
+        starts: list[int] = []
         try:
             for t in tuple(free_tgt):
-                if flow == goal:
+                if len(starts) == goal:
                     break
                 path: list[int] = []
                 node, k = t, forest[t]
@@ -181,12 +185,13 @@ class _SplitGraph:
                         cap[k] = 0
                         cap[k ^ 1] = 1
                     touched += path
-                    flow += 1
-            while flow < goal:
+                    starts.append(node)
+            while len(starts) < goal:
                 found = self._search(forest, free_tgt)
                 if found is None:
                     break
                 node, via = found
+                starts.append(node)
                 k = via[node]
                 while k >= 0:
                     cap[k] -= 1
@@ -195,12 +200,11 @@ class _SplitGraph:
                     node = head[k]
                     k = via[node]
                 free_tgt.remove(node)
-                flow += 1
         finally:
             for k in touched:
                 cap[k & ~1] = 1
                 cap[k | 1] = 0
-        return flow
+        return starts
 
     def _search(
         self, forest: list[int], free_tgt: set[int]
@@ -258,6 +262,36 @@ def max_vertex_disjoint_paths(
     passed again as the very object the cached forest was built from is not
     checked again: it was checked before that forest was built.
     """
+    return len(_path_starts(g, sources, targets))
+
+
+def disjoint_path_starts(
+    g: DiGraph, sources: Iterable[int], targets: Iterable[int]
+) -> frozenset[int]:
+    """The sources a maximum family of vertex-disjoint paths starts from.
+
+    One vertex per path, so the set has exactly
+    max_vertex_disjoint_paths(g, sources, targets) elements, and a target
+    that is also a source starts its own zero-length path. The family's
+    paths start in this set, so counting from it alone gives the same
+    number again, and counting from any source set that holds it gives at
+    least as many. A caller that needs a count to reach the size of the
+    targets can keep the set as a witness and skip any later count from a
+    source set that holds it. Computed by the same kernel call as
+    max_vertex_disjoint_paths.
+    """
+    starts = _path_starts(g, sources, targets)
+    if not starts:
+        return frozenset()
+    order = g._kernel.order
+    return frozenset([order[a >> 1] for a in starts])
+
+
+def _path_starts(
+    g: DiGraph, sources: Iterable[int], targets: Iterable[int]
+) -> list[int]:
+    """The in-nodes a maximum path family starts from, one per path; the
+    kernel is built on first use (see max_vertex_disjoint_paths)."""
     src = frozenset(sources)
     tgt = frozenset(targets)
     kernel = g._kernel
@@ -266,7 +300,7 @@ def max_vertex_disjoint_paths(
         for v in src | tgt:
             g._require(v)
     if not src or not tgt:
-        return 0
+        return []
     if kernel is None:
         kernel = _SplitGraph(g)
         object.__setattr__(g, "_kernel", kernel)

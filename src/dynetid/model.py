@@ -261,6 +261,8 @@ class ExtendedGraph:
         internal: the internal vertices 1..L, derived from L.
         noise_stimulated: noise_vertices + noise_driven, the vertices the
             noise model stimulates whatever the excitations are.
+        param_in: each internal vertex's in-neighbors through edges of the
+            graph that are parameterized; extended_in_neighbors reads it.
     """
 
     graph: DiGraph
@@ -273,9 +275,17 @@ class ExtendedGraph:
     # Built once: the per-vertex loops test membership on every call.
     internal: frozenset[int] = field(init=False, repr=False, compare=False)
     noise_stimulated: frozenset[int] = field(init=False, repr=False, compare=False)
+    param_in: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "internal", frozenset(range(1, self.L + 1)))
+        param_in: dict[int, list[int]] = {j: [] for j in self.internal}
+        for i, j in self.parameterized_edges:
+            if j in param_in and (i, j) in self.graph.edges:
+                param_in[j].append(i)
+        object.__setattr__(
+            self, "param_in", {j: frozenset(ins) for j, ins in param_in.items()}
+        )
         noise_stimulated = self.noise_vertices | self.noise_driven
         object.__setattr__(self, "noise_stimulated", noise_stimulated)
         object.__setattr__(self, "stimulated", self.stimulated | noise_stimulated)
@@ -317,8 +327,7 @@ def build_extended_graph(m: ModelSet) -> ExtendedGraph:
 
 def extended_in_neighbors(eg: ExtendedGraph, j: int) -> frozenset[int]:
     """In-neighbors of an internal vertex through parameterized edges only."""
-    if j not in eg.internal:
-        raise ValueError(f"vertex {j} is not internal")
-    return frozenset(
-        i for i in eg.graph.in_neighbors(j) if (i, j) in eg.parameterized_edges
-    )
+    try:
+        return eg.param_in[j]
+    except KeyError:
+        raise ValueError(f"vertex {j} is not internal") from None

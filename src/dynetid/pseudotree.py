@@ -157,6 +157,18 @@ def is_mergeable(t1: Pseudotree, t2: Pseudotree) -> bool:
       passed only because the shared vertices are t2's root; that root, on
       t1's cycle, reaches all of the union.
 
+    The same facts give the union's roots, which merge_trees reads off
+    instead of testing the union. A pseudotree union has |V| - 1 edges, as
+    a tree, or |V|. A tree union comes from two trees that share only t1's
+    root r. If r is t2's root as well, it is the union's root. If not, r
+    has its in-edge in t2, while t2's root has none in t2 and, not being
+    shared, none in t1: t2's root is the union's. A union with |V| edges
+    has one cycle. If t1 has a cycle, that is the cycle, so t1's roots are
+    the union's. If t2 has one, t1 is a tree that shares only its root, so
+    the union keeps t2's cycle and t2's roots. If both are trees, they
+    share both roots, and the new cycle runs from each root to the other
+    through one tree: only then are the roots found by walking the union.
+
     Vertex-disjoint pairs come out False. Pairs that share an edge fall
     outside the covering contract: the shared edge's head is a head in
     both, so they come out False as well, even where the union definition
@@ -212,24 +224,36 @@ def covering_violations(c: Covering) -> tuple[str, ...]:
 
 
 def initial_covering(eg: ExtendedGraph) -> Covering:
-    """One star per vertex with outgoing target edges, in ascending id order."""
+    """One star per vertex with outgoing target edges, in ascending id order.
+
+    A star is a tree rooted at its centre, so its root set is the centre.
+    """
     targets = eg.parameterized_edges
     if not targets:
         raise ValueError("no parameterized edges to cover")
-    by_tail: dict[int, list[Edge]] = {}
-    for e in targets:
-        by_tail.setdefault(e[0], []).append(e)
-    trees = tuple(Pseudotree.from_edges(by_tail[v]) for v in sorted(by_tail))
+    heads: dict[int, list[int]] = {}
+    for t, h in targets:
+        heads.setdefault(t, []).append(h)
+    trees = tuple(
+        Pseudotree(
+            frozenset([v, *heads[v]]),
+            frozenset([(v, h) for h in heads[v]]),
+            frozenset([v]),
+        )
+        for v in sorted(heads)
+    )
     return Covering(trees=trees, host=eg.graph, target_edges=targets)
 
 
 def merge_trees(c: Covering, i: int, j: int) -> Covering:
-    """Fold tree i into tree j (1-based positions); roots are recomputed.
+    """Fold tree i into tree j (1-based positions).
 
-    is_mergeable guards the merge, and the merged tree takes its roots from
-    is_pseudotree on the union: the union can close a new root cycle, as
-    (3, 1) folding into (1, 3) does, and then the merged tree gains roots
-    the absorbing tree never had.
+    is_mergeable guards the merge, and the merged tree's roots follow from
+    the two trees' (see is_mergeable): an acyclic union keeps tj's roots, a
+    union with ti's cycle takes ti's roots and one with tj's cycle tj's.
+    Only when two trees close a new cycle, as (3, 1) folding into (1, 3)
+    does, are the roots read off the union by is_pseudotree: the merged
+    tree then gains roots the absorbing tree never had.
     """
     n = len(c.trees)
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -238,7 +262,14 @@ def merge_trees(c: Covering, i: int, j: int) -> Covering:
     if not is_mergeable(ti, tj):
         raise ValueError(f"tree {i} is not mergeable into tree {j}")
     vertices, edges = ti.vertices | tj.vertices, ti.edges | tj.edges
-    _, roots = is_pseudotree(vertices, edges)
+    if len(edges) < len(vertices):
+        roots = tj.roots
+    elif len(ti.edges) == len(ti.vertices):
+        roots = ti.roots
+    elif len(tj.edges) == len(tj.vertices):
+        roots = tj.roots
+    else:
+        _, roots = is_pseudotree(vertices, edges)
     trees = list(c.trees)
     trees[j - 1] = Pseudotree(vertices, edges, roots)
     del trees[i - 1]

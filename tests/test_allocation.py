@@ -1,17 +1,25 @@
-"""Excitation allocation pipeline: filtering, root selection, pruning."""
+"""Excitation allocation pipeline: filtering, root selection, pruning, and
+the witness-keeping prune against the fresh-count reference in pruneref."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynetid.allocation import allocate, noise_rooted_filter, prune, select_roots
-from dynetid.dual import _reversed_extended
+from dynetid.dual import _reversed_extended, select_measurements
 from dynetid.identifiability import check_with_excitations, excitation_bounds
 from dynetid.model import EntryStatus, ExtendedGraph, ModelSet, build_extended_graph
 from dynetid.pseudotree import Covering, Pseudotree, algorithm1_merge
 
-from .randgen import all_extended_subsets, random_bounded_model, random_model
+from . import pruneref
+from .randgen import (
+    all_extended_subsets,
+    random_bounded_model,
+    random_model,
+    random_sparse_model,
+)
 from .test_model import correlated_noise_model
 
 P, K = EntryStatus.PARAMETERIZED, EntryStatus.KNOWN
@@ -204,3 +212,55 @@ class TestAllocate:
             if len(result.excited) > optimum:
                 gaps.append((seed, len(result.excited), optimum))
         assert gaps == [(205, 3, 2)]
+
+
+class TestPruneAgainstReference:
+    """allocate and select_measurements against the pipeline that counts
+    every vertex afresh at every trial and verification (tests/pruneref.py).
+    A stale witness, or one kept from a failed count, changes a verdict and
+    with it the excited, pruned or verified fields."""
+
+    @pytest.fixture
+    def rollbacks(self, monkeypatch):
+        """Counts the reference's rollback steps: every verification after
+        the first in one prune call."""
+        steps = [0]
+
+        def counting(eg, trial):
+            steps[0] += 1
+            return check_with_excitations(eg, trial)
+
+        monkeypatch.setattr(pruneref, "check_with_excitations", counting)
+
+        def reference(eg):
+            before = steps[0]
+            result = pruneref.allocate(eg)
+            return result, steps[0] - before - 1
+
+        return reference
+
+    def test_random_models_match(self, rollbacks):
+        rolled = []
+        for seed in range(2000):
+            m = random_model(random.Random(seed))
+            eg = build_extended_graph(m)
+            want, steps = rollbacks(eg)
+            assert allocate(eg) == want, seed
+            rolled += [seed] * steps
+            dual = build_extended_graph(ModelSet.from_edges(m.L, m.modules))
+            want, steps = rollbacks(_reversed_extended(dual))
+            assert select_measurements(dual) == want, seed
+            rolled += [seed] * steps
+        assert rolled, "no model in the sample rolls back"
+
+    def test_sparse_models_match(self, rollbacks):
+        rolled = []
+        for L in (50, 100, 200, 400):
+            eg = build_extended_graph(random_sparse_model(random.Random(L), L))
+            want, steps = rollbacks(eg)
+            assert allocate(eg) == want, L
+            rolled += [L] * steps
+            want, steps = rollbacks(_reversed_extended(eg))
+            assert select_measurements(eg) == want, L
+            rolled += [L] * steps
+        assert rolled, "no model in the sample rolls back"

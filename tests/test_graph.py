@@ -1,6 +1,6 @@
 """Graph primitives: construction rules, neighborhood queries, reversal, and the vertex-disjoint path count (cross-checked against the
 brute-force oracle, and against the per-call reference flow in flowref over
-many calls on one graph)."""
+many calls on one graph), with the start set of a maximum path family."""
 
 import random
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dynetid.graph import (
     DiGraph,
+    disjoint_path_starts,
     max_vertex_disjoint_paths,
     reverse,
     sources_and_sinks,
@@ -283,6 +284,62 @@ class TestSourceForest:
             seen["unreached targets"] += not targets <= _reach(g, sources)
             seen["short"] += want < min(len(sources), len(targets))
         assert all(seen.values()), seen
+
+
+def _assert_witness(g: DiGraph, sources, targets) -> frozenset[int]:
+    """The start set is a set of sources as large as the count, which
+    flowref confirms, and it supports that many paths on its own."""
+    starts = disjoint_path_starts(g, sources, targets)
+    count = max_vertex_disjoint_paths(g, sources, targets)
+    assert starts <= frozenset(sources)
+    assert len(starts) == count == flowref.max_vertex_disjoint_paths(g, sources, targets)
+    assert flowref.max_vertex_disjoint_paths(g, starts, targets) == count
+    return starts
+
+
+class TestPathStarts:
+    def test_small_cases(self):
+        g = diamond()
+        assert disjoint_path_starts(g, {1}, {4}) == {1}
+        assert disjoint_path_starts(g, {2, 3}, {2, 3, 4}) == {2, 3}
+        assert disjoint_path_starts(g, {1, 4}, {4}) == {4}
+        assert disjoint_path_starts(g, {2, 4}, {1}) == frozenset()
+        assert disjoint_path_starts(g, set(), {4}) == frozenset()
+        assert disjoint_path_starts(g, {1}, set()) == frozenset()
+        with pytest.raises(ValueError, match="vertex 7 is not in the graph"):
+            disjoint_path_starts(g, {1, 7}, {4})
+
+    def test_random_graphs(self):
+        # Small random graphs and sets, drawn independently, so sets that
+        # overlap, empty sets and starved targets all come up.
+        seen = {"source targets": 0, "empty side": 0, "short": 0}
+        for seed in range(600):
+            rng = random.Random(f"starts/{seed}")
+            g = random_digraph(rng)
+            u = random_vertex_subset(rng, g)
+            y = random_vertex_subset(rng, g)
+            starts = _assert_witness(g, u, y)
+            seen["source targets"] += bool(u & y)
+            seen["empty side"] += not (u and y)
+            seen["short"] += 0 < len(starts) < min(len(u), len(y))
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("reversed_graph", [False, True])
+    @pytest.mark.parametrize("L", [50, 100])
+    def test_prune_shaped_runs(self, L, reversed_graph):
+        # Runs of calls on one source set take the cached-forest path, the
+        # way prune's counts do, and still give a witness each time. The
+        # isolated vertex L + 1 gives every graph a sink for _prune_runs.
+        g = build_extended_graph(random_sparse_model(random.Random(f"starts/{L}"), L)).graph
+        if reversed_graph:
+            g = reverse(g)
+        g = DiGraph.of(g.vertices | {L + 1}, g.edges)
+        rng = random.Random(f"starts-calls/{L}/{reversed_graph}")
+        cached = 0
+        for sources, targets in _prune_runs(rng, g):
+            cached += g._kernel is not None and g._kernel.forest_src is sources
+            _assert_witness(g, sources, targets)
+        assert cached >= 50
 
 
 SEEDS = st.integers(min_value=0, max_value=10**9)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynetid.dual import _reversed_extended
 from dynetid.graph import DiGraph
 from dynetid.model import (
     EntryStatus,
@@ -281,3 +282,38 @@ class TestExtendedGraphProperties:
         assert DiGraph(eg.internal, kept) == DiGraph(
             frozenset(range(1, m.L + 1)), m.internal_edges()
         )
+
+
+class TestParameterizedInNeighbors:
+    def test_stored_sets_match_the_definition(self):
+        # The sets ExtendedGraph stores at construction against the
+        # definition, on models with noise vertices and known modules, on
+        # both sides of the dual.
+        seen = {"noise vertex in a set": 0, "known module left out": 0}
+        for seed in range(500):
+            m = random_model(random.Random(seed), max_vertices=6, max_noise=3, known_share=0.35)
+            eg = build_extended_graph(m)
+            for j in sorted(eg.internal):
+                want = frozenset(
+                    i for i in eg.graph.in_neighbors(j) if (i, j) in eg.parameterized_edges
+                )
+                assert extended_in_neighbors(eg, j) == want, (seed, j)
+                seen["noise vertex in a set"] += bool(want & eg.noise_vertices)
+                seen["known module left out"] += len(want) < len(eg.graph.in_neighbors(j))
+            rev = _reversed_extended(build_extended_graph(ModelSet.from_edges(m.L, m.modules)))
+            for j in sorted(rev.internal):
+                assert extended_in_neighbors(rev, j) == rev.graph.in_neighbors(j)
+        assert min(seen.values()) >= 50, seen
+
+    def test_outside_the_internal_vertices(self):
+        eg = build_extended_graph(correlated_noise_model())
+        assert eg.noise_vertices
+        for j in (0, eg.L + 1, max(eg.noise_vertices)):
+            with pytest.raises(ValueError, match=f"^vertex {j} is not internal$"):
+                extended_in_neighbors(eg, j)
+
+    def test_stored_sets_stay_out_of_equality_and_repr(self):
+        m = correlated_noise_model()
+        a, b = build_extended_graph(m), build_extended_graph(m)
+        assert a == b and hash(a) == hash(b)
+        assert "param_in" not in repr(a)

@@ -594,6 +594,46 @@ class TestMergeabilityClosedForm:
         assert min(seen.values()) >= 50, seen
 
 
+class TestClosedFormRoots:
+    def test_merge_roots_match_the_union(self):
+        # Every mergeable pair of the closed-form generator, folded by
+        # merge_trees, against is_pseudotree on the union; the pairs reach
+        # each of the four ways the roots follow from the two trees.
+        rng = random.Random("closed-form-roots")
+        seen = dict.fromkeys(["acyclic", "cyclic t1", "cyclic t2", "new cycle"], 0)
+        for _ in range(6000):
+            t1 = _random_pseudotree(rng, list(range(1, 8)), rng.random() < 0.4)
+            t2 = _random_pseudotree(rng, list(range(1, 8)), rng.random() < 0.4)
+            if t1.edges & t2.edges or not is_mergeable(t1, t2):
+                continue
+            vertices, edges = t1.vertices | t2.vertices, t1.edges | t2.edges
+            host = DiGraph(vertices, edges)
+            merged = merge_trees(Covering((t1, t2), host, edges), 1, 2).trees
+            assert merged == (Pseudotree(vertices, edges, is_pseudotree(vertices, edges)[1]),)
+            if len(edges) < len(vertices):
+                seen["acyclic"] += 1
+            elif len(t1.edges) == len(t1.vertices):
+                seen["cyclic t1"] += 1
+            elif len(t2.edges) == len(t2.vertices):
+                seen["cyclic t2"] += 1
+            else:
+                seen["new cycle"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_initial_covering_matches_the_stars_from_edges(self):
+        # initial_covering builds each star with its centre as the root;
+        # from_edges finds the same roots by testing the star.
+        for seed in range(400):
+            eg = build_extended_graph(random_model(random.Random(seed), max_vertices=7))
+            if eg.parameterized_edges:
+                want = star_covering(eg.graph, eg.parameterized_edges)
+                assert initial_covering(eg) == want, seed
+        for L in (50, 200):
+            eg = build_extended_graph(random_sparse_model(random.Random(L), L))
+            for side in (eg, _reversed_extended(eg)):
+                assert initial_covering(side) == star_covering(side.graph, side.parameterized_edges)
+
+
 class TestAlgorithmOneProperties:
     @given(SEEDS)
     @settings(max_examples=100, deadline=None)
