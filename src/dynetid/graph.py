@@ -7,7 +7,9 @@ graph holds is its flow kernel, which max_vertex_disjoint_paths and
 disjoint_path_starts build on first use and restore after every call,
 together with a shortest-path forest from the last source set counted
 from, rebuilt only when the source set changes: caches that no result,
-comparison, hash or repr can observe, with no setting of their own.
+comparison, hash or repr can observe, with no setting of their own. A
+count serves each target through its own forest path, or else through an
+in-neighbour's, while that path is free, and searches only for the rest.
 Counting paths on one graph from two threads at once is not supported. All
 iteration is in ascending id order to keep downstream reports
 deterministic.
@@ -157,12 +159,21 @@ class _SplitGraph:
         per source while the forest holds.
 
         Each target is first walked up the source forest to its root, and
-        the walk is augmented if that root is still free. Two forest paths
-        that share a node share the rest of the way to the root, so a free
-        root means a path disjoint from every path taken so far. Root a is
-        free exactly when cap[a] is 1: arc a is its vertex's own arc, and
-        every forest path from a takes it. The backward searches then
-        finish the max-flow from that flow."""
+        the walk is augmented if that root is still free. Root a is free
+        exactly when cap[a] is 1: arc a is its vertex's own arc, and every
+        forest path from a takes it. A free root means a path disjoint from
+        every path taken so far, because every vertex those paths use has
+        a used root: two forest paths that share a node share the rest of
+        the way to the root, and a path taken by the second chance below is
+        a forest path plus a target whose own root is used.
+
+        A target whose root is used gets that second chance (_detour) if
+        its own arc, t - 1, is still free: a free forest path into one of
+        its in-neighbours, extended by the edge into the target and the
+        target's own arc. The walks thus leave a feasible flow, and the
+        backward searches finish the max-flow from it, so every count is
+        exact. Which sources the paths start from can depend on the walks,
+        but it is always the start set of a maximum family."""
         head, cap = self.head, self.cap
         forest = self._forest(sources)
         free_tgt = {2 * self.index[v] + 1 for v in targets}
@@ -179,13 +190,17 @@ class _SplitGraph:
                     path.append(k)
                     node = head[k ^ 1]
                     k = forest[node]
-                if k == -1 and cap[node]:
-                    free_tgt.remove(t)
-                    for k in path:
-                        cap[k] = 0
-                        cap[k ^ 1] = 1
-                    touched += path
-                    starts.append(node)
+                if k != -1 or not cap[node]:
+                    if not cap[t - 1] or (path := self._detour(forest, t)) is None:
+                        continue
+                    # A detour ends on its root's own arc, whose index is the root.
+                    node = path[-1]
+                free_tgt.remove(t)
+                for k in path:
+                    cap[k] = 0
+                    cap[k ^ 1] = 1
+                touched += path
+                starts.append(node)
             while len(starts) < goal:
                 found = self._search(forest, free_tgt)
                 if found is None:
@@ -206,6 +221,27 @@ class _SplitGraph:
                 cap[k | 1] = 0
         return starts
 
+    def _detour(self, forest: list[int], t: int) -> list[int] | None:
+        """A free path to out-node t through an in-neighbour, as arcs from
+        t back to the path's root, or None. The real in-arcs p_out -> t_in
+        are tried in order, and the first whose tail's forest path has
+        every arc free, its root's own arc included, is taken with that
+        in-arc and t's own arc. Such a path is disjoint from every path
+        taken so far, provided t's own arc is free as well: each of its
+        vertices still has its own arc free, and no path passes through a
+        vertex without taking that vertex's arc."""
+        head, cap = self.head, self.cap
+        for k in self.arcs[t - 1]:
+            if k & 1:
+                path = [t - 1, k ^ 1]
+                a = forest[head[k]]
+                while a >= 0 and cap[a]:
+                    path.append(a)
+                    a = forest[head[a ^ 1]]
+                if a == -1:
+                    return path
+        return None
+
     def _search(
         self, forest: list[int], free_tgt: set[int]
     ) -> tuple[int, dict[int, int]] | None:
@@ -218,10 +254,10 @@ class _SplitGraph:
 
         The search starts from the targets because they are the small side:
         a path check's targets are one vertex's in-neighbourhood, while its
-        sources can be half the graph. It runs only after count has taken
-        every disjoint path the source forest offers, so it is left with the
-        targets that walk would not serve: those the sources do not reach,
-        and those whose forest path crosses one already taken."""
+        sources can be half the graph. It runs only after count's walks, so
+        it is left with the targets they would not serve: those the sources
+        do not reach, and those whose forest path, and every in-neighbour's,
+        crosses a path already taken."""
         head, arcs, cap = self.head, self.arcs, self.cap
         via = dict.fromkeys(free_tgt, -1)
         queue = list(free_tgt)
@@ -252,9 +288,11 @@ def max_vertex_disjoint_paths(
     breadth-first forest from the last call's sources; callers that ask
     about one source set for many target sets, as a check of every vertex
     does, build that forest once. Each call first takes every target's
-    forest path whose source is still free, which is already a set of
-    disjoint paths, then searches backward from the free targets left to
-    the nearest free source and augments along the path found until the
+    forest path whose source is still free, or failing that, if the target
+    itself is still free, the free forest path of one of its in-neighbours
+    extended by the edge into the target; that is already a set of
+    disjoint paths. It then searches backward from the free targets left
+    to the nearest free source and augments along the path found until the
     flow is maximum. It stops as soon as the flow reaches
     min(|sources|, |targets|), so a vertex whose check passes never pays for
     a failing search. On return the call undoes the arcs it touched, and

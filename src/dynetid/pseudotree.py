@@ -173,16 +173,29 @@ def is_mergeable(t1: Pseudotree, t2: Pseudotree) -> bool:
     outside the covering contract: the shared edge's head is a head in
     both, so they come out False as well, even where the union definition
     would have said True.
+
+    The rule lives in _mergeable_pair, which decides both directions of a
+    pair at once; this is its first value.
+    """
+    return _mergeable_pair(t1, t2)[0]
+
+
+def _mergeable_pair(t1: Pseudotree, t2: Pseudotree) -> tuple[bool, bool]:
+    """is_mergeable(t1, t2) and is_mergeable(t2, t1), in that order.
+
+    The union test is the same in both directions, so both are decided from
+    one shared-vertex set and one pair of tree flags (see is_mergeable).
     """
     shared = t1.vertices & t2.vertices
     tree1 = len(t1.edges) < len(t1.vertices)
     tree2 = len(t2.edges) < len(t2.vertices)
     unheaded = (t1.roots if tree1 else frozenset()) | (t2.roots if tree2 else frozenset())
     if not shared or not shared <= unheaded:
-        return False
-    if tree1:
-        return t1.roots <= t2.vertices
-    return t2.roots <= t1.roots
+        return False, False
+    return (
+        t1.roots <= t2.vertices if tree1 else t2.roots <= t1.roots,
+        t2.roots <= t1.vertices if tree2 else t1.roots <= t2.roots,
+    )
 
 
 # ---- coverings ----
@@ -395,20 +408,25 @@ class _MergeMatrix:
 
     @classmethod
     def of_trees(cls, trees: tuple[Pseudotree, ...]) -> _MergeMatrix:
-        """The matrix of trees[k - 1] as id k, by the direct pairwise checks.
+        """The matrix of trees[k - 1] as id k, one decision per unordered pair.
 
         Pairs that share no vertex are Empty, so only the pairs found through
-        a vertex -> trees index are tested, in any order: every reader takes
-        a minimum.
+        a vertex -> trees index are decided, in any order: every reader takes
+        a minimum. _mergeable_pair gives both directions of a pair, which
+        fill its two row and two column cells.
         """
         m = cls(len(trees))
+        rows, cols = m.rows, m.cols
         holders: dict[int, list[int]] = {}
         for k, t in enumerate(trees, start=1):
             for v in t.vertices:
                 holders.setdefault(v, []).append(k)
-        pairs = {(a, b) for ks in holders.values() for a in ks for b in ks if a != b}
+        pairs = {(a, b) for ks in holders.values() for a in ks for b in ks if a < b}
         for a, b in pairs:
-            m._put(a, b, is_mergeable(trees[a - 1], trees[b - 1]))
+            ab, ba = _mergeable_pair(trees[a - 1], trees[b - 1])
+            rows[a][b] = cols[b][a] = ab
+            rows[b][a] = cols[a][b] = ba
+        m.ones = {r: k for r, row in rows.items() if (k := sum(row.values()))}
         return m
 
     @classmethod
@@ -480,20 +498,38 @@ class _MergeMatrix:
         rows, cols = self.rows, self.cols
         ri, ci, rj, cj = rows.pop(i), cols.pop(i), rows[j], cols[j]
         closed = [k for k, e in ci.items() if e and rj.get(k)] if triangles else ()
-        row_j = {c: e and rj.get(c, True) for c, e in ri.items() if c != j}
-        col_j = {r: e and cj.get(r, True) for r, e in ci.items() if r != j}
         self.ones.pop(i, None)
-        for c in ri:
-            del cols[c][i]
-        for r, e in ci.items():
-            del rows[r][i]
-            if e:
-                self._count(r, -1)
         del self.ids[bisect_left(self.ids, i)]
-        for c, e in row_j.items():
-            self._put(j, c, e)
-        for r, e in col_j.items():
-            self._put(r, j, e)
+        delta = -rj.pop(i, False)
+        for c, e in ri.items():
+            col = cols[c]
+            del col[i]
+            if c == j:
+                continue
+            old = rj.get(c)
+            if old is None:
+                rj[c] = col[j] = e
+                delta += e
+            elif old and not e:
+                rj[c] = col[j] = False
+                delta -= 1
+        self._count(j, delta)
+        for r, e in ci.items():
+            if r == j:
+                continue
+            row = rows[r]
+            del row[i]
+            old = row.get(j)
+            # An Empty (r, j) takes (r, i)'s entry. Otherwise (r, j) becomes
+            # (r, i) and (r, j), and row r has one One fewer unless both
+            # were Zero.
+            if old is None:
+                row[j] = cj[r] = e
+            else:
+                if old and not e:
+                    row[j] = cj[r] = False
+                if old or e:
+                    self._count(r, -1)
         for k in closed:
             self._put(k, j, True)
             self._put(j, k, True)

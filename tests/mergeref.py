@@ -58,21 +58,18 @@ def _entrywise_fold(m: CharMatrix, i: int, j: int) -> CharMatrix:
         raise ValueError(f"entry ({i}, {j}) is not 1; the pair cannot be merged")
     old = m.entries
     i0, j0 = i - 1, j - 1
+    jc = j0 - (j0 > i0)
     rows = []
     for r in range(n):
         if r == i0:
             continue
-        row = []
-        for c in range(n):
-            if c == i0:
-                continue
-            if r == j0:
-                row.append(odot(old[i0][c], old[j0][c]))
-            elif c == j0:
-                row.append(odot(old[r][i0], old[r][j0]))
-            else:
-                row.append(old[r][c])
-        rows.append(tuple(row))
+        row = old[r]
+        if r == j0:
+            rows.append(tuple(odot(old[i0][c], row[c]) for c in range(n) if c != i0))
+        else:
+            # Outside row j only column j changes; the rest is copied.
+            kept = row[:i0] + row[i0 + 1:]
+            rows.append(kept[:jc] + (odot(row[i0], row[j0]),) + kept[jc + 1:])
     return CharMatrix(tuple(rows))
 
 
@@ -85,13 +82,13 @@ def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
     """
     best: tuple[int, int, int] | None = None
     for r, row in enumerate(m.entries, start=1):
-        ones = [c for c, e in enumerate(row, start=1) if e is CharEntry.ONE]
-        qualifies = len(ones) == 1 if forced else bool(ones)
+        ones = row.count(CharEntry.ONE)
+        qualifies = ones == 1 if forced else ones > 0
         if not qualifies:
             continue
         empties = row.count(CharEntry.EMPTY)
         if best is None or empties > best[0]:
-            best = (empties, r, ones[0])
+            best = (empties, r, row.index(CharEntry.ONE) + 1)
     return None if best is None else best[1:]
 
 

@@ -2,6 +2,7 @@
 brute-force oracle, and against the per-call reference flow in flowref over
 many calls on one graph), with the start set of a maximum path family."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dynetid.graph import (
     DiGraph,
+    _SplitGraph,
     disjoint_path_starts,
     max_vertex_disjoint_paths,
     reverse,
@@ -340,6 +342,90 @@ class TestPathStarts:
             cached += g._kernel is not None and g._kernel.forest_src is sources
             _assert_witness(g, sources, targets)
         assert cached >= 50
+
+
+def _relabelled(edges, sources, targets):
+    """The case under every assignment of the ids 1..n to its named
+    vertices, as (graph, sources, targets): which target a count walks
+    first follows the ids, so some assignment walks each one first."""
+    names = sorted({v for e in edges for v in e} | set(sources) | set(targets))
+    for ids in itertools.permutations(range(1, len(names) + 1)):
+        at = dict(zip(names, ids))
+        g = DiGraph.of(ids, [(at[t], at[h]) for t, h in edges])
+        yield g, frozenset(at[v] for v in sources), frozenset(at[v] for v in targets)
+
+
+class TestSecondChance:
+    """A target whose forest path ends at a used root is served through an
+    in-neighbour's forest path when that path and the target are free."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = _SplitGraph._search
+
+        def counted(self, forest, free_tgt):
+            calls.append(len(free_tgt))
+            return search(self, forest, free_tgt)
+
+        monkeypatch.setattr(_SplitGraph, "_search", counted)
+        return calls
+
+    def test_taken_through_a_free_in_neighbour(self, searches):
+        # Whichever source the forest reaches x and y from, the first target
+        # walked takes it and the second comes through the other source,
+        # with no search.
+        edges = [("s", "x"), ("s", "y"), ("r", "x"), ("r", "y")]
+        for g, sources, targets in _relabelled(edges, {"s", "r"}, {"x", "y"}):
+            assert _assert_witness(g, sources, targets) == sources
+        assert searches == []
+
+    def test_refused_where_the_in_neighbours_path_is_used(self):
+        # Both paths would pass m. Once one target's path takes it, the
+        # other's in-neighbours m and q have forest paths through m, although
+        # q itself is free; z keeps a second source unused.
+        edges = [("s", "m"), ("m", "x"), ("m", "y"), ("m", "q"), ("q", "y")]
+        for g, sources, targets in _relabelled(edges, {"s", "z"}, {"x", "y"}):
+            assert len(_assert_witness(g, sources, targets)) == 1
+
+    def test_refused_where_the_target_is_on_a_path(self):
+        # x's path runs through the target m, so m cannot end a second
+        # path, although its in-neighbour r is a free source.
+        edges = [("s", "m"), ("r", "m"), ("m", "x")]
+        for g, sources, targets in _relabelled(edges, {"s", "r"}, {"m", "x"}):
+            assert len(_assert_witness(g, sources, targets)) == 1
+
+    @pytest.mark.parametrize("reversed_graph", [False, True])
+    @pytest.mark.parametrize("L", [50, 100, 200])
+    def test_dual_shaped_runs(self, L, reversed_graph):
+        # The measurement dual's shape: one to six sources, asked about one
+        # in-neighbourhood after another, so the walks collide on few roots.
+        g = build_extended_graph(random_sparse_model(random.Random(f"dual/{L}"), L)).graph
+        if reversed_graph:
+            g = reverse(g)
+        rng = random.Random(f"dual-calls/{L}/{reversed_graph}")
+        vs = g.sorted_vertices()
+        seen = {"full": 0, "short": 0}
+        for _ in range(10):
+            sources = frozenset(rng.sample(vs, rng.randint(1, 6)))
+            for _ in range(30):
+                targets = g.in_neighbors(rng.choice(vs))
+                if rng.random() < 0.3:
+                    targets |= g.in_neighbors(rng.choice(vs))
+                starts = _assert_witness(g, sources, targets)
+                seen["full" if len(starts) == min(len(sources), len(targets)) else "short"] += 1
+        assert all(seen.values()), seen
+
+    def test_small_random_graphs(self):
+        # Every vertex's in-neighbourhood against one cached set of one to
+        # six sources, on small random graphs.
+        for seed in range(300):
+            rng = random.Random(f"dual-small/{seed}")
+            g = random_digraph(rng, min_vertices=3, max_vertices=9, max_edges=20)
+            vs = g.sorted_vertices()
+            sources = frozenset(rng.sample(vs, rng.randint(1, min(6, len(vs)))))
+            for v in vs:
+                _assert_witness(g, sources, g.in_neighbors(v))
 
 
 SEEDS = st.integers(min_value=0, max_value=10**9)

@@ -23,6 +23,8 @@ from dynetid.pseudotree import (
     Covering,
     Pseudotree,
     _MergeMatrix,
+    _merge_steps,
+    _mergeable_pair,
     algorithm1_merge,
     are_disjoint,
     char_matrix,
@@ -38,6 +40,7 @@ from dynetid.pseudotree import (
 )
 
 from .mergeref import _entrywise_fold, _pick_row
+from .mergeref import char_matrix as reference_char_matrix
 from .mergeref import algorithm1_merge as reference_merge
 from .mergeref import merge_pass as reference_pass
 from .randgen import random_digraph, random_model, random_sparse_model
@@ -586,6 +589,8 @@ class TestMergeabilityClosedForm:
                 continue
             want = _mergeable_by_union(t1, t2)
             assert is_mergeable(t1, t2) is want, (sorted(t1.edges), sorted(t2.edges))
+            # The pair helper decides both directions at once.
+            assert _mergeable_pair(t1, t2) == (want, _mergeable_by_union(t2, t1))
             seen["mergeable cyclic t1"] += want and len(t1.edges) == len(t1.vertices)
             seen["cyclic t2"] += len(t2.edges) == len(t2.vertices)
             seen["shared tail"] += bool({t for t, _ in t1.edges} & {t for t, _ in t2.edges})
@@ -733,6 +738,35 @@ class TestMergeAgainstReference:
         if side == "reversed":
             eg = _reversed_extended(eg)
         assert _dump(algorithm1_merge(eg)) == _dump(reference_merge(eg))
+
+    def test_pass_matrices_match_the_pairwise_checks(self):
+        # The matrix each pass starts from, built one decision per unordered
+        # pair, against mergeref's one is_mergeable call per ordered pair,
+        # on the covering at the start of every pass; the later passes'
+        # coverings hold cyclic trees.
+        inputs = [build_extended_graph(random_model(random.Random(seed))) for seed in range(300)]
+        for L in (50, 100, 200):
+            eg = build_extended_graph(random_sparse_model(random.Random(L), L))
+            inputs += [eg, _reversed_extended(eg)]
+        seen = {"cyclic trees": 0, "ones": 0, "passes": 0}
+        for eg in inputs:
+            if not eg.parameterized_edges:
+                continue
+            c = initial_covering(eg)
+            while True:
+                m = _MergeMatrix.of_trees(c.trees)
+                assert m.to_char_matrix() == reference_char_matrix(c)
+                _assert_bookkeeping(m)
+                seen["cyclic trees"] += sum(len(t.edges) == len(t.vertices) for t in c.trees)
+                seen["ones"] += sum(m.ones.values())
+                seen["passes"] += 1
+                steps = list(_merge_steps(m, triangles=False))
+                if not steps:
+                    break
+                # Each step's positions hold in the covering as merged so far.
+                for i, j in steps:
+                    c = merge_trees(c, i, j)
+        assert min(seen.values()) >= 50, seen
 
     @pytest.mark.parametrize("seed", (93, 95, 154, 274))
     def test_second_productive_pass(self, seed):
