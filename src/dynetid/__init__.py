@@ -7,7 +7,7 @@ mergeability-matrix heuristic, and synthesizes minimal excitation or
 measurement allocations from the covering.
 """
 
-from dynetid.graph import DiGraph, disjoint_path_starts, max_vertex_disjoint_paths
+from dynetid.graph import DiGraph, max_vertex_disjoint_paths
 from dynetid.model import (
     EntryStatus,
     ExtendedGraph,
@@ -71,7 +71,6 @@ __all__ = [
     "char_matrix_from_adjacency",
     "check_generic_identifiability",
     "check_with_excitations",
-    "disjoint_path_starts",
     "excitation_bounds",
     "extended_in_neighbors",
     "initial_covering",

@@ -7,11 +7,8 @@ greedily prune roots whose removal keeps the path condition intact on the
 tree's own vertices. The greedy step validates only the tree at hand, so a
 removal can in principle invalidate a tree cleared earlier; a full final
 verification with rollback keeps the result sound regardless. Both tests
-evaluate the path condition through identifiability.path_condition_holds,
-which shares one record of path witnesses across every trial, the
-verification and each rollback, so a vertex is counted again only when a
-removal took a start of its paths. The measurement dual runs allocate on
-the reversed graph.
+evaluate the path condition through identifiability.path_condition_holds.
+The measurement dual runs allocate on the reversed graph.
 """
 
 from __future__ import annotations
@@ -60,34 +57,22 @@ def prune(
     is the covering pi_s came from, carried into the result along with
     excitation_bounds(eg, covering_used).
 
-    One witness record serves the whole call: every trial, the
-    verification and each rollback. A vertex's witness is the start set of
-    the last full family of disjoint paths counted into its parameterized
-    in-neighborhood (graph.disjoint_path_starts). While the stimulated set
-    holds that start set, the family's paths are still disjoint paths from
-    the stimulated set, so the count would again reach the
-    in-neighborhood's size, and path_condition_holds passes the vertex
-    without counting. Any other vertex is counted as before, a pass
-    replaces its witness, and the first failure ends the test. A vertex is
-    thus skipped only where a count would pass, and counted where it would
-    fail, so every trial and every verification has the verdict a count at
-    each vertex would give. Removing a root breaks only the witnesses that
-    start at it; the others carry over to later trials, to the
-    verification and through its rollbacks.
+    The trials, the verification and each rollback count on one graph, so
+    the flow kernel's memo (graph.max_vertex_disjoint_paths) recounts a
+    vertex only when a removal took a start of its last full path family.
     """
-    witness: dict[int, frozenset[int]] = {}
     active = set(r0)
     pruned: list[int] = []
     for k, tree in enumerate(pi_s):
         tau = r0[k]
         trial = frozenset(active - {tau}) | eg.noise_stimulated
-        if path_condition_holds(eg, trial, tree.vertices & eg.internal, witness):
+        if path_condition_holds(eg, trial, tree.vertices & eg.internal):
             active.discard(tau)
             pruned.append(tau)
 
     def verify() -> bool:
         stimulated = frozenset(active) | eg.noise_stimulated
-        return path_condition_holds(eg, stimulated, eg.internal, witness)
+        return path_condition_holds(eg, stimulated, eg.internal)
 
     verified = verify()
     while not verified and pruned:

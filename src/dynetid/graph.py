@@ -3,11 +3,15 @@
 Vertices are arbitrary positive integers; nothing requires them to be
 contiguous. Graphs are immutable after construction and every operation is a
 pure function, so values can be shared freely. The one mutable thing a
-graph holds is its flow kernel, which max_vertex_disjoint_paths and
-disjoint_path_starts build on first use and restore after every call,
-together with a shortest-path forest from the last source set counted
-from, rebuilt only when the source set changes: caches that no result,
-comparison, hash or repr can observe, with no setting of their own. A
+graph holds is its flow kernel, which max_vertex_disjoint_paths builds on
+first use and restores after every call. Beside it sit two caches: a
+shortest-path forest from the last source set counted from, rebuilt only
+when the source set changes, and a memo that maps a target set to the
+start vertices of the last full family of disjoint paths found into it. A
+count whose source set holds those starts returns the target count unrun:
+the same paths still start inside the sources on the same immutable
+graph, and no count exceeds the number of targets. No result, comparison,
+hash or repr can observe either cache, and neither has a setting. A
 count serves each target through its own forest path, or else through an
 in-neighbour's, while that path is free, and searches only for the rest.
 Counting paths on one graph from two threads at once is not supported. All
@@ -108,9 +112,14 @@ class _SplitGraph:
     reached node b, -1 at a root and -2 where no source reaches. It depends
     on the source set only, so it is rebuilt only when that set changes.
     order lists the vertices by index, so in-node a is vertex order[a >> 1].
+
+    memo maps a target set to the start vertices of the last full count
+    into it, one whose paths reached every target. It never holds more
+    entries than the graph has vertices: a store that would pass that size
+    empties it first.
     """
 
-    __slots__ = ("order", "index", "head", "arcs", "cap", "forest_src", "forest")
+    __slots__ = ("order", "index", "head", "arcs", "cap", "forest_src", "forest", "memo")
 
     def __init__(self, g: DiGraph) -> None:
         self.order = tuple(sorted(g.vertices))
@@ -129,6 +138,7 @@ class _SplitGraph:
         self.cap = [1, 0] * len(pairs)
         self.forest_src: frozenset[int] | None = None
         self.forest: list[int] = []
+        self.memo: dict[frozenset[int], list[int]] = {}
 
     def _forest(self, sources: frozenset[int]) -> list[int]:
         """The forest of sources, built unless it is the one cached. Only
@@ -152,11 +162,18 @@ class _SplitGraph:
     def count(self, sources: frozenset[int], targets: frozenset[int]) -> list[int]:
         """Augment from the free sources to the free targets until no path is
         left or every source or every target is used, and return the
-        in-nodes the paths start from, one per path. A source is free until
-        a path starts at it, a target until a path ends at it. The sources'
-        in-nodes are the forest's roots: the walks below take only free
-        roots, and so does a search (see _search), so a call costs nothing
-        per source while the forest holds.
+        vertices the paths start from, one per path. A source is free until
+        a path starts at it, a target until a path ends at it.
+
+        A target set whose memo entry lies inside sources returns that entry
+        with no augmenting: its paths reach every target from the sources,
+        which no count can exceed. The list returned is the memo's own, so
+        the caller must not change it. A count that reaches every target
+        becomes the set's entry.
+
+        The sources' in-nodes are the forest's roots: the walks below take
+        only free roots, and so does a search (see _search), so a call costs
+        nothing per source while the forest holds.
 
         Each target is first walked up the source forest to its root, and
         the walk is augmented if that root is still free. Root a is free
@@ -172,8 +189,14 @@ class _SplitGraph:
         its in-neighbours, extended by the edge into the target and the
         target's own arc. The walks thus leave a feasible flow, and the
         backward searches finish the max-flow from it, so every count is
-        exact. Which sources the paths start from can depend on the walks,
-        but it is always the start set of a maximum family."""
+        exact. Which sources the paths start from can depend on the walks
+        and on the memo, but it is always the start set of a maximum
+        family."""
+        memo = self.memo
+        known = memo.get(targets)
+        if known is not None and sources.issuperset(known):
+            return known
+        order = self.order
         head, cap = self.head, self.cap
         forest = self._forest(sources)
         free_tgt = {2 * self.index[v] + 1 for v in targets}
@@ -200,13 +223,13 @@ class _SplitGraph:
                     cap[k] = 0
                     cap[k ^ 1] = 1
                 touched += path
-                starts.append(node)
+                starts.append(order[node >> 1])
             while len(starts) < goal:
                 found = self._search(forest, free_tgt)
                 if found is None:
                     break
                 node, via = found
-                starts.append(node)
+                starts.append(order[node >> 1])
                 k = via[node]
                 while k >= 0:
                     cap[k] -= 1
@@ -219,6 +242,10 @@ class _SplitGraph:
             for k in touched:
                 cap[k & ~1] = 1
                 cap[k | 1] = 0
+        if len(starts) == len(targets):
+            if len(memo) >= len(order):
+                memo.clear()
+            memo[targets] = starts
         return starts
 
     def _detour(self, forest: list[int], t: int) -> list[int] | None:
@@ -299,36 +326,23 @@ def max_vertex_disjoint_paths(
     only those. An unknown source or target raises ValueError. A source set
     passed again as the very object the cached forest was built from is not
     checked again: it was checked before that forest was built.
+
+    A call whose paths reach every target also records their start vertices
+    under the target set, and a later call whose sources hold them all
+    returns len(targets) at once, with no forest and no flow. That is the
+    exact count: the recorded paths are vertex-disjoint paths of this graph
+    from those sources to every target, and no family has more paths than
+    there are targets. So a caller that drops sources one at a time, as
+    allocation's prune does, recounts only the target sets whose recorded
+    paths started at a dropped source.
     """
     return len(_path_starts(g, sources, targets))
-
-
-def disjoint_path_starts(
-    g: DiGraph, sources: Iterable[int], targets: Iterable[int]
-) -> frozenset[int]:
-    """The sources a maximum family of vertex-disjoint paths starts from.
-
-    One vertex per path, so the set has exactly
-    max_vertex_disjoint_paths(g, sources, targets) elements, and a target
-    that is also a source starts its own zero-length path. The family's
-    paths start in this set, so counting from it alone gives the same
-    number again, and counting from any source set that holds it gives at
-    least as many. A caller that needs a count to reach the size of the
-    targets can keep the set as a witness and skip any later count from a
-    source set that holds it. Computed by the same kernel call as
-    max_vertex_disjoint_paths.
-    """
-    starts = _path_starts(g, sources, targets)
-    if not starts:
-        return frozenset()
-    order = g._kernel.order
-    return frozenset([order[a >> 1] for a in starts])
 
 
 def _path_starts(
     g: DiGraph, sources: Iterable[int], targets: Iterable[int]
 ) -> list[int]:
-    """The in-nodes a maximum path family starts from, one per path; the
+    """The sources a maximum path family starts from, one per path; the
     kernel is built on first use (see max_vertex_disjoint_paths)."""
     src = frozenset(sources)
     tgt = frozenset(targets)

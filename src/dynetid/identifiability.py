@@ -5,10 +5,9 @@ identifiable exactly when, for every internal vertex j, the maximum number
 of vertex-disjoint paths from the stimulated set to j's parameterized
 in-neighborhood equals that in-neighborhood's size. Two functions evaluate
 it. vertex_checks counts the paths at every vertex asked about; the reports
-here and the CLI's oracle comparison read it. path_condition_holds is the
-witness path that allocation's prune takes: it answers only whether every
-vertex asked about passes, and skips the count at a vertex whose recorded
-path starts (graph.disjoint_path_starts) are all still stimulated.
+here and the CLI's oracle comparison read it. path_condition_holds, which
+allocation's prune calls, answers only whether every vertex asked about
+passes.
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from dynetid.graph import (
-    disjoint_path_starts,
-    max_vertex_disjoint_paths,
-    sources_and_sinks,
-)
+from dynetid.graph import max_vertex_disjoint_paths, sources_and_sinks
 from dynetid.model import ExtendedGraph, extended_in_neighbors
 from dynetid.pseudotree import Covering
 
@@ -57,32 +52,17 @@ def vertex_checks(
 
 
 def path_condition_holds(
-    eg: ExtendedGraph,
-    stimulated: frozenset[int],
-    vertices: Iterable[int],
-    witness: dict[int, frozenset[int]],
+    eg: ExtendedGraph, stimulated: frozenset[int], vertices: Iterable[int]
 ) -> bool:
     """Whether the path condition holds at every given internal vertex.
 
-    witness maps a vertex to the start set of a full family of disjoint
-    paths into its parameterized in-neighborhood, found by an earlier count
-    on eg's graph. A vertex whose witness lies inside stimulated passes
-    with no count, since those paths start from stimulated vertices. Every
-    other vertex with parameterized in-edges is counted, in ascending
-    order: a pass records its start set as the vertex's new witness, and
-    the first failure returns False with the failing vertex's witness left
-    as it was.
+    The vertices are counted in ascending order, and the first failure
+    returns False without counting the rest.
     """
     for j in sorted(vertices):
-        known = witness.get(j)
-        if known is not None and known <= stimulated:
-            continue
         targets = extended_in_neighbors(eg, j)
-        if targets:
-            starts = disjoint_path_starts(eg.graph, stimulated, targets)
-            if len(starts) < len(targets):
-                return False
-            witness[j] = starts
+        if targets and max_vertex_disjoint_paths(eg.graph, stimulated, targets) < len(targets):
+            return False
     return True
 
 

@@ -1,11 +1,12 @@
 """Reference prune step for differential tests.
 
-This is the prune the library ran before it kept path witnesses: every
-trial counts the paths at every vertex of its tree through vertex_checks,
-and the verification and each rollback step count them at every internal
-vertex through check_with_excitations. It keeps nothing between counts,
-so each verdict is read off a fresh flow, which is what the tests compare
-the witness-keeping prune against.
+This is the prune the library ran before it skipped counts: every trial
+counts the paths at every vertex of its tree through vertex_checks, and the
+verification and each rollback step count them at every internal vertex
+through check_with_excitations, each of which builds a full report. It
+keeps no state of its own between counts. Its counts go through the same
+flow kernel as the library's, memo included, so the tests run it on an
+ExtendedGraph of its own, apart from the one the library's prune counts on.
 """
 
 from __future__ import annotations

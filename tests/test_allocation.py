@@ -1,5 +1,6 @@
 """Excitation allocation pipeline: filtering, root selection, pruning, and
-the witness-keeping prune against the fresh-count reference in pruneref."""
+the library's prune against the reference in pruneref, which counts every
+vertex at every trial and verification."""
 
 import random
 
@@ -216,9 +217,10 @@ class TestAllocate:
 
 class TestPruneAgainstReference:
     """allocate and select_measurements against the pipeline that counts
-    every vertex afresh at every trial and verification (tests/pruneref.py).
-    A stale witness, or one kept from a failed count, changes a verdict and
-    with it the excited, pruned or verified fields."""
+    every vertex at every trial and verification (tests/pruneref.py). Each
+    side runs on its own ExtendedGraph, so neither's flow memo answers the
+    other's counts. A wrong memo answer changes a verdict and with it the
+    excited, pruned or verified fields."""
 
     @pytest.fixture
     def rollbacks(self, monkeypatch):
@@ -243,9 +245,8 @@ class TestPruneAgainstReference:
         rolled = []
         for seed in range(2000):
             m = random_model(random.Random(seed))
-            eg = build_extended_graph(m)
-            want, steps = rollbacks(eg)
-            assert allocate(eg) == want, seed
+            want, steps = rollbacks(build_extended_graph(m))
+            assert allocate(build_extended_graph(m)) == want, seed
             rolled += [seed] * steps
             dual = build_extended_graph(ModelSet.from_edges(m.L, m.modules))
             want, steps = rollbacks(_reversed_extended(dual))
@@ -256,8 +257,9 @@ class TestPruneAgainstReference:
     def test_sparse_models_match(self, rollbacks):
         rolled = []
         for L in (50, 100, 200, 400):
-            eg = build_extended_graph(random_sparse_model(random.Random(L), L))
-            want, steps = rollbacks(eg)
+            m = random_sparse_model(random.Random(L), L)
+            want, steps = rollbacks(build_extended_graph(m))
+            eg = build_extended_graph(m)
             assert allocate(eg) == want, L
             rolled += [L] * steps
             want, steps = rollbacks(_reversed_extended(eg))

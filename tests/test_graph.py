@@ -1,6 +1,7 @@
 """Graph primitives: construction rules, neighborhood queries, reversal, and the vertex-disjoint path count (cross-checked against the
 brute-force oracle, and against the per-call reference flow in flowref over
-many calls on one graph), with the start set of a maximum path family."""
+many calls on one graph), with the kernel's start list of a maximum path
+family and the memo of full families that can answer a count unrun."""
 
 import itertools
 import random
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from dynetid.graph import (
     DiGraph,
+    _path_starts,
     _SplitGraph,
-    disjoint_path_starts,
     max_vertex_disjoint_paths,
     reverse,
     sources_and_sinks,
@@ -165,17 +166,38 @@ class TestFlowKernelCache:
         assert max_vertex_disjoint_paths(g, sources, {2, 3}) == 1
 
 
+def _counted(g: DiGraph, sources, targets) -> tuple[list[int], bool]:
+    """The kernel's start list for one call, and whether the memo served
+    it: a count builds a new list, and a hit returns the stored one."""
+    kernel = g._kernel
+    stored = kernel.memo.get(frozenset(targets)) if kernel is not None else None
+    starts = _path_starts(g, sources, targets)
+    return starts, stored is not None and starts is stored
+
+
+# Each run below must take the memo at least this often, so that a wrong
+# hit would show as a count off flowref.
+MIN_HITS = 5
+
+
 def _kernel_workload(rng: random.Random, g: DiGraph, calls: int):
     """Interleaved (sources, targets) sets of every shape the callers use,
-    plus an unknown vertex that must raise."""
+    plus an unknown vertex that must raise. The check-shaped source set
+    holds half the graph and gains or loses one vertex per call, as prune's
+    trials and rollbacks do, and half the targets are the in-neighbourhoods
+    of a fixed set of eight vertices, so that the memo's entries meet new
+    source sets."""
     vs = g.sorted_vertices()
     unknown = max(vs) + 1
+    pool = rng.sample(vs, 8)
+    half = set(rng.sample(vs, len(vs) // 2))
     kinds = ["check", "dual", "overlap", "empty", "unknown"] * (calls // 5)
     rng.shuffle(kinds)
     for kind in kinds:
-        targets = g.in_neighbors(rng.choice(vs))
+        targets = g.in_neighbors(rng.choice(rng.choice([vs, pool])))
         if kind == "check":
-            yield kind, set(rng.sample(vs, len(vs) // 2)), targets
+            half ^= {rng.choice(vs)}
+            yield kind, set(half), targets
         elif kind == "dual":
             yield kind, set(rng.sample(vs, 3)), targets
         elif kind == "overlap":
@@ -197,13 +219,18 @@ class TestFlowKernelAgainstReference:
         if reversed_graph:
             g = reverse(g)
         rng = random.Random(f"flow-calls/{L}/{reversed_graph}")
+        hits = 0
         for kind, sources, targets in _kernel_workload(rng, g, 300):
             if kind == "unknown":
                 with pytest.raises(ValueError, match="not in the graph"):
                     max_vertex_disjoint_paths(g, sources, targets)
                 continue
             want = flowref.max_vertex_disjoint_paths(g, sources, targets)
+            starts, hit = _counted(g, sources, targets)
+            assert len(starts) == want, kind
             assert max_vertex_disjoint_paths(g, sources, targets) == want, kind
+            hits += hit
+        assert hits >= MIN_HITS, hits
 
 
 def _reach(g: DiGraph, sources) -> set[int]:
@@ -220,23 +247,29 @@ def _prune_runs(rng: random.Random, g: DiGraph):
     """Runs of (sources, targets) calls that share one source set, the way
     prune's per-tree trials and the final verification make them. The
     source sets switch A -> B -> A, change to a set of the same size that
-    differs in one vertex, and include sets of the graph's sinks, which
-    reach nothing but themselves, alone and next to one other vertex, so
-    that many targets hang from one root. Targets are in-neighbourhoods, some
-    merged with a second one or with sources or vertices the sources never
-    reach."""
+    differs in one vertex, lose one vertex at a time as prune's trials do,
+    and include sets of the graph's sinks, which reach nothing but
+    themselves, alone and next to one other vertex, so that many targets
+    hang from one root. Targets are in-neighbourhoods, some merged with a
+    second one or with sources or vertices the sources never reach. Half of
+    them belong to a fixed set of eight vertices, the way every trial of
+    prune asks about the same in-neighbourhoods, so that the memo's entries
+    meet new source sets."""
     vs = g.sorted_vertices()
+    pool = rng.sample(vs, 8)
     sinks = [v for v in vs if not g.out_neighbors(v)]
     a = frozenset(rng.sample(vs, 3))
     b = frozenset(rng.sample(vs, len(vs) // 2))
     swapped = sorted(a)[1:] + [rng.choice([v for v in vs if v not in a])]
     runs = [a, b, a, frozenset(swapped), b]
+    for v in rng.sample(sorted(b), 3):
+        runs.append(runs[-1] - {v})
     runs.append(frozenset(rng.sample(sinks, min(3, len(sinks)))))
     runs.append(frozenset({rng.choice(sinks), rng.choice(vs)}))
     for sources in runs:
         unreached = sorted(set(vs) - _reach(g, sources))
         for _ in range(rng.randint(10, 30)):
-            targets = set(g.in_neighbors(rng.choice(vs)))
+            targets = set(g.in_neighbors(rng.choice(rng.choice([vs, pool]))))
             if rng.random() < 0.3:
                 targets |= g.in_neighbors(rng.choice(vs))
             if rng.random() < 0.3:
@@ -268,7 +301,9 @@ class TestSourceForest:
         # One cached forest serves each run, and its roots are the sources
         # a count starts paths from. A stale forest, or a forest path taken
         # although another path already used its root, shows as a count off
-        # the reference or a forest of the wrong set.
+        # the reference or a forest of the wrong set. A call the memo
+        # answers builds no forest, so the forest is checked only after a
+        # call that counted, and every answer, hit or count, against flowref.
         # A pendant path L + 1 -> L + 2 -> 1 leaves two vertices that only
         # a set holding L + 1 reaches, on graphs every vertex reaches, and
         # the isolated vertex L + 3 is a sink on every graph.
@@ -277,39 +312,48 @@ class TestSourceForest:
             g = reverse(g)
         g = DiGraph.of(g.vertices | {L + 1, L + 2, L + 3}, g.edges | {(L + 1, L + 2), (L + 2, 1)})
         rng = random.Random(f"forest-calls/{L}/{reversed_graph}")
-        seen = {"source targets": 0, "unreached targets": 0, "short": 0}
+        seen = {"source targets": 0, "unreached targets": 0, "short": 0, "hits": 0}
         for sources, targets in _prune_runs(rng, g):
             want = flowref.max_vertex_disjoint_paths(g, sources, targets)
+            starts, hit = _counted(g, sources, targets)
+            assert len(starts) == want
+            if not hit:
+                _assert_forest_of(g, sources)
             assert max_vertex_disjoint_paths(g, sources, targets) == want
-            _assert_forest_of(g, sources)
+            seen["hits"] += hit
             seen["source targets"] += bool(sources & targets)
             seen["unreached targets"] += not targets <= _reach(g, sources)
             seen["short"] += want < min(len(sources), len(targets))
-        assert all(seen.values()), seen
+        assert all(seen.values()) and seen["hits"] >= MIN_HITS, seen
 
 
 def _assert_witness(g: DiGraph, sources, targets) -> frozenset[int]:
-    """The start set is a set of sources as large as the count, which
-    flowref confirms, and it supports that many paths on its own."""
-    starts = disjoint_path_starts(g, sources, targets)
+    """The kernel's start list names distinct sources, one per path of the
+    count, which flowref confirms, and they support that many paths on
+    their own. Returns them as a set."""
+    starts = _path_starts(g, sources, targets)
+    vertices = frozenset(starts)
     count = max_vertex_disjoint_paths(g, sources, targets)
-    assert starts <= frozenset(sources)
+    assert len(vertices) == len(starts)
+    assert vertices <= frozenset(sources)
     assert len(starts) == count == flowref.max_vertex_disjoint_paths(g, sources, targets)
-    assert flowref.max_vertex_disjoint_paths(g, starts, targets) == count
-    return starts
+    assert flowref.max_vertex_disjoint_paths(g, vertices, targets) == count
+    return vertices
 
 
 class TestPathStarts:
     def test_small_cases(self):
         g = diamond()
-        assert disjoint_path_starts(g, {1}, {4}) == {1}
-        assert disjoint_path_starts(g, {2, 3}, {2, 3, 4}) == {2, 3}
-        assert disjoint_path_starts(g, {1, 4}, {4}) == {4}
-        assert disjoint_path_starts(g, {2, 4}, {1}) == frozenset()
-        assert disjoint_path_starts(g, set(), {4}) == frozenset()
-        assert disjoint_path_starts(g, {1}, set()) == frozenset()
+        assert _assert_witness(g, {1}, {4}) == {1}
+        assert _assert_witness(g, {2, 3}, {2, 3, 4}) == {2, 3}
+        # Both {1} and {4} start a maximum family here. The memo holds 1's
+        # path into 4 from the first call, so it answers {1}.
+        assert _assert_witness(g, {1, 4}, {4}) in ({1}, {4})
+        assert _assert_witness(g, {2, 4}, {1}) == frozenset()
+        assert _assert_witness(g, set(), {4}) == frozenset()
+        assert _assert_witness(g, {1}, set()) == frozenset()
         with pytest.raises(ValueError, match="vertex 7 is not in the graph"):
-            disjoint_path_starts(g, {1, 7}, {4})
+            _path_starts(g, {1, 7}, {4})
 
     def test_random_graphs(self):
         # Small random graphs and sets, drawn independently, so sets that
@@ -329,19 +373,59 @@ class TestPathStarts:
     @pytest.mark.parametrize("reversed_graph", [False, True])
     @pytest.mark.parametrize("L", [50, 100])
     def test_prune_shaped_runs(self, L, reversed_graph):
-        # Runs of calls on one source set take the cached-forest path, the
-        # way prune's counts do, and still give a witness each time. The
-        # isolated vertex L + 1 gives every graph a sink for _prune_runs.
+        # Runs of calls on one source set take the cached-forest path, or
+        # the memo, the way prune's counts do, and still give a maximum
+        # family's starts each time. The isolated vertex L + 1 gives every
+        # graph a sink for _prune_runs.
         g = build_extended_graph(random_sparse_model(random.Random(f"starts/{L}"), L)).graph
         if reversed_graph:
             g = reverse(g)
         g = DiGraph.of(g.vertices | {L + 1}, g.edges)
         rng = random.Random(f"starts-calls/{L}/{reversed_graph}")
-        cached = 0
+        cached = hits = 0
         for sources, targets in _prune_runs(rng, g):
             cached += g._kernel is not None and g._kernel.forest_src is sources
+            hits += _counted(g, sources, targets)[1]
             _assert_witness(g, sources, targets)
-        assert cached >= 50
+        assert cached >= 50 and hits >= MIN_HITS, (cached, hits)
+
+
+class TestStartMemo:
+    """A full count is recorded under its target set and answers a later
+    call whose sources hold its starts; nothing else is answered unrun."""
+
+    def test_hit_keeps_the_forest(self):
+        # 1's path into 4 is recorded; {1, 2} holds its start, so the call
+        # returns that start list and builds no forest for {1, 2}.
+        g = diamond()
+        first = _path_starts(g, frozenset({1}), frozenset({4}))
+        assert _path_starts(g, frozenset({1, 2}), frozenset({4})) is first
+        assert g._kernel.forest_src == {1}
+
+    def test_dropped_start_is_counted_again(self):
+        g = diamond()
+        assert _assert_witness(g, {1}, {4}) == {1}
+        assert _assert_witness(g, {2, 3}, {4}) in ({2}, {3})
+        assert g._kernel.forest_src == {2, 3}
+        assert g._kernel.memo[frozenset({4})] != [1]
+
+    def test_short_count_is_not_recorded(self):
+        # From 1 alone only one of 2 and 3 is reached by a disjoint path;
+        # that start must not answer for a source set that reaches both.
+        g = diamond()
+        assert max_vertex_disjoint_paths(g, {1}, {2, 3}) == 1
+        assert frozenset({2, 3}) not in g._kernel.memo
+        assert max_vertex_disjoint_paths(g, {1, 2}, {2, 3}) == 2
+
+    def test_memo_holds_no_more_entries_than_vertices(self):
+        g = diamond()
+        subsets = [
+            frozenset(c) for n in range(1, 5) for c in itertools.combinations(g.sorted_vertices(), n)
+        ]
+        for targets in subsets:
+            want = flowref.max_vertex_disjoint_paths(g, g.vertices, targets)
+            assert max_vertex_disjoint_paths(g, g.vertices, targets) == want
+            assert len(g._kernel.memo) <= len(g.vertices)
 
 
 def _relabelled(edges, sources, targets):

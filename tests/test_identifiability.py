@@ -6,17 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynetid.allocation import noise_rooted_filter, select_roots
+from dynetid.dual import _reversed_extended
 from dynetid.identifiability import (
     check_generic_identifiability,
     check_with_excitations,
     excitation_bounds,
+    path_condition_holds,
+    vertex_checks,
 )
 from dynetid.model import EntryStatus, ExtendedGraph, ModelSet, build_extended_graph
 from dynetid.oracle import OracleBudget, brute_disjoint_paths, brute_identifiability
 from dynetid.model import extended_in_neighbors
 from dynetid.pseudotree import algorithm1_merge, initial_covering
 
-from .randgen import random_model
+from .randgen import random_model, random_sparse_model
 from .test_model import correlated_noise_model
 
 P, K = EntryStatus.PARAMETERIZED, EntryStatus.KNOWN
@@ -141,6 +145,69 @@ class TestCheckWithExcitations:
         small_rep = check_with_excitations(eg, small)
         assume(small_rep.identifiable)
         assert check_with_excitations(eg, small | extra).identifiable
+
+
+def _prune_walk(rng: random.Random, eg: ExtendedGraph):
+    """Stimulated sets shaped like prune's: the roots it starts from, then
+    one root dropped, or one time in five a dropped root restored, per
+    step, each with the noise-side stimulation. It takes twice as many
+    steps as there are roots, so most walks end with few roots left."""
+    pi_s = noise_rooted_filter(algorithm1_merge(eg)[0], eg)
+    active, dropped = set(select_roots(pi_s)), []
+    yield frozenset(active) | eg.noise_stimulated
+    for _ in range(2 * len(active)):
+        if active and (not dropped or rng.random() < 0.8):
+            v = rng.choice(sorted(active))
+            active.remove(v)
+            dropped.append(v)
+        else:
+            active.add(dropped.pop(rng.randrange(len(dropped))))
+        yield frozenset(active) | eg.noise_stimulated
+
+
+class TestPathConditionHolds:
+    """path_condition_holds over a run of stimulated sets on one shared
+    ExtendedGraph, whose flow memo carries from call to call, against
+    vertex_checks on a fresh copy of the graph for every set."""
+
+    def _run(self, rng, make, verdicts):
+        eg = make()
+        internal = sorted(eg.internal)
+        for stimulated in _prune_walk(rng, eg):
+            tree = rng.sample(internal, min(len(internal), rng.randint(1, 10)))
+            for vertices in (tree, eg.internal):
+                fresh = make()
+                want = all(
+                    c.achieved == c.required
+                    for c in vertex_checks(fresh, stimulated, vertices)
+                )
+                assert path_condition_holds(eg, stimulated, vertices) == want
+                verdicts.add(want)
+
+    @pytest.mark.parametrize("reversed_graph", [False, True])
+    def test_random_models(self, reversed_graph):
+        verdicts = set()
+        for seed in range(300):
+            m = random_model(random.Random(seed))
+            if reversed_graph:
+                dual = ModelSet.from_edges(m.L, m.modules)
+                make = lambda: _reversed_extended(build_extended_graph(dual))
+            else:
+                make = lambda: build_extended_graph(m)
+            self._run(random.Random(f"holds/{seed}"), make, verdicts)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("reversed_graph", [False, True])
+    @pytest.mark.parametrize("L", [50, 100, 200, 400])
+    def test_sparse_models(self, L, reversed_graph):
+        m = random_sparse_model(random.Random(f"holds/{L}"), L)
+        if reversed_graph:
+            make = lambda: _reversed_extended(build_extended_graph(m))
+        else:
+            make = lambda: build_extended_graph(m)
+        verdicts = set()
+        self._run(random.Random(f"holds-walk/{L}/{reversed_graph}"), make, verdicts)
+        assert verdicts == {True, False}
 
 
 class TestExcitationBounds:
