@@ -123,9 +123,9 @@ class _SplitGraph:
 
     def __init__(self, g: DiGraph) -> None:
         self.order = tuple(sorted(g.vertices))
-        self.index = {v: i for i, v in enumerate(self.order)}
+        self.index = index = {v: i for i, v in enumerate(self.order)}
         pairs = [(2 * i, 2 * i + 1) for i in range(len(self.index))]
-        pairs += [(2 * self.index[t] + 1, 2 * self.index[h]) for t, h in sorted(g.edges)]
+        pairs += [(2 * index[t] + 1, 2 * index[h]) for t in self.order for h in g._succ[t]]
         arcs: list[list[int]] = [[] for _ in range(2 * len(self.index))]
         head: list[int] = []
         for a, b in pairs:

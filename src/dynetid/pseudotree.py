@@ -10,20 +10,18 @@ initial star covering by repeatedly folding one tree into another.
 Mergeability bookkeeping lives in a square matrix over {One, Zero, Empty}:
 One means tree i can fold into tree j, Empty means the two trees do not even
 share a vertex, Zero anything else. CharMatrix is the dense form the paper
-writes down and reduce updates it after a merge: the odot fold of the merged
+writes down, and reduce updates it after a merge: the odot fold of the merged
 row and column, plus the mergeability triangles the entrywise rules cannot
 see, which together reproduce the matrix recomputed from the merged
-covering. The merge loop runs on a sparse form of the same matrix: trees are
-keyed by an id, each row and each column keeps only its One and Zero
-entries, as True and False, with Empty left out, and a merge folds them in
-place, touching only the two trees' rows and columns. Under that encoding
-odot is Python's `and`, with Empty as its identity, so CharEntry and odot
-appear only where a CharMatrix goes in or comes out. The trace and
-merge_trees speak in 1-based positions; a tree's position is its id's rank
-among the trees still live. The loop keeps the conservative odot-only fold
-and rebuilds the matrix from the covering between passes, so the coverings
-it produces stay as they were; the matrix-only entry points (reduce,
-matrix_only_merge) run the same fold with the triangle rule switched on.
+covering. matrix_only_merge runs the merge policy on a CharMatrix through
+reduce. The merge loop runs on _MergeMatrix instead: trees keyed by an id,
+one map per row holding its One and Zero entries as True and False, Empty
+left out, and a merge folds the two trees' rows and the cells of their
+columns in place. Under that encoding odot is Python's `and`, with Empty as
+its identity. The trace and merge_trees speak in 1-based positions; a
+tree's position is its id's rank among the trees still live. The loop keeps
+the conservative odot-only fold and rebuilds the matrix from the covering
+between passes, so the coverings it produces stay as they were.
 """
 
 from __future__ import annotations
@@ -333,7 +331,11 @@ class CharMatrix:
 
 def char_matrix(c: Covering) -> CharMatrix:
     """Mergeability matrix of a covering by the direct pairwise checks."""
-    return _MergeMatrix.of_trees(c.trees).to_char_matrix()
+    rows = _MergeMatrix.of_trees(c.trees).rows
+    entry = {True: CharEntry.ONE, False: CharEntry.ZERO, None: CharEntry.EMPTY}
+    return CharMatrix.from_rows(
+        (entry[False if r == k else row.get(k)] for k in rows) for r, row in rows.items()
+    )
 
 
 def char_matrix_from_adjacency(
@@ -389,22 +391,26 @@ def char_matrix_from_adjacency(
 
 
 class _MergeMatrix:
-    """A characteristic matrix keyed by tree id, stored sparsely, folded in place.
+    """The merge loop's characteristic matrix, keyed by tree id, folded in place.
 
-    rows[r] and cols[c] hold the One and Zero entries of row r and column c
-    as booleans, True for One and False for Zero; an absent key means
-    Empty, and the diagonal, always Zero, is not stored. On this encoding
-    odot is `and` with Empty as its identity. ids lists the live ids, 1 to
-    n at the start, in ascending order. A fold keeps the order of the
-    surviving trees, so an id's 1-based position in the matrix is its rank
-    there. ones counts the Ones of every row that has any.
+    rows[r] holds the One and Zero entries of row r as booleans, True for
+    One and False for Zero; an absent key means Empty, and the diagonal,
+    always Zero, is not stored. On this encoding odot is `and` with Empty
+    as its identity. ids lists the live ids in ascending order; a fold
+    keeps the order of the surviving trees, so an id's 1-based position in
+    the matrix is its rank there. ones counts the Ones of every row that
+    has any.
+
+    Empty means the two trees share no vertex, which is symmetric, so in a
+    matrix built by of_trees row r's keys are also the rows whose column r
+    is non-Empty. fold relies on that and keeps it; only of_trees matrices
+    are folded. pick reads any rows.
     """
 
-    def __init__(self, n: int) -> None:
-        self.ids = list(range(1, n + 1))
-        self.rows: dict[int, dict[int, bool]] = {k: {} for k in self.ids}
-        self.cols: dict[int, dict[int, bool]] = {k: {} for k in self.ids}
-        self.ones: dict[int, int] = {}
+    def __init__(self, rows: dict[int, dict[int, bool]]) -> None:
+        self.rows = rows
+        self.ids = sorted(rows)
+        self.ones = {r: k for r, row in rows.items() if (k := sum(row.values()))}
 
     @classmethod
     def of_trees(cls, trees: tuple[Pseudotree, ...]) -> _MergeMatrix:
@@ -413,50 +419,20 @@ class _MergeMatrix:
         Pairs that share no vertex are Empty, so only the pairs found through
         a vertex -> trees index are decided, in any order: every reader takes
         a minimum. _mergeable_pair gives both directions of a pair, which
-        fill its two row and two column cells.
+        fill its two cells.
         """
-        m = cls(len(trees))
-        rows, cols = m.rows, m.cols
+        rows: dict[int, dict[int, bool]] = {k: {} for k in range(1, len(trees) + 1)}
         holders: dict[int, list[int]] = {}
         for k, t in enumerate(trees, start=1):
             for v in t.vertices:
                 holders.setdefault(v, []).append(k)
         pairs = {(a, b) for ks in holders.values() for a in ks for b in ks if a < b}
         for a, b in pairs:
-            ab, ba = _mergeable_pair(trees[a - 1], trees[b - 1])
-            rows[a][b] = cols[b][a] = ab
-            rows[b][a] = cols[a][b] = ba
-        m.ones = {r: k for r, row in rows.items() if (k := sum(row.values()))}
-        return m
-
-    @classmethod
-    def of_char_matrix(cls, cm: CharMatrix) -> _MergeMatrix:
-        m = cls(cm.n)
-        for r, row in enumerate(cm.entries, start=1):
-            for c, e in enumerate(row, start=1):
-                if r != c and e is not CharEntry.EMPTY:
-                    m._put(r, c, e is CharEntry.ONE)
-        return m
-
-    def to_char_matrix(self) -> CharMatrix:
-        n = len(self.ids)
-        pos = {k: p for p, k in enumerate(self.ids)}
-        rows = [[CharEntry.EMPTY] * n for _ in range(n)]
-        for p in range(n):
-            rows[p][p] = CharEntry.ZERO
-        for r, row in self.rows.items():
-            for c, e in row.items():
-                rows[pos[r]][pos[c]] = CharEntry.ONE if e else CharEntry.ZERO
-        return CharMatrix.from_rows(rows)
+            rows[a][b], rows[b][a] = _mergeable_pair(trees[a - 1], trees[b - 1])
+        return cls(rows)
 
     def position(self, k: int) -> int:
         return bisect_left(self.ids, k) + 1
-
-    def _put(self, r: int, c: int, one: bool) -> None:
-        row = self.rows[r]
-        self._count(r, one - row.get(c, False))
-        row[c] = one
-        self.cols[c][r] = one
 
     def _count(self, r: int, delta: int) -> None:
         if delta:
@@ -485,54 +461,44 @@ class _MergeMatrix:
         r = best[1]
         return r, min(c for c, e in self.rows[r].items() if e)
 
-    def fold(self, i: int, j: int, triangles: bool) -> None:
+    def fold(self, i: int, j: int) -> None:
         """Fold row/column i into row/column j by odot and drop id i.
 
-        Only the entries of rows i and j and of columns i and j move. The
-        new (j, c) is (i, c) odot (j, c) and the new (r, j) is (r, i) odot
-        (r, j); on the boolean entries odot is `and`, and an Empty (i, c) or
-        (r, i) leaves the old entry as it was, an Empty (j, c) or (r, j)
-        takes the other. With triangles, every k with (k, i) = One and
-        (j, k) = One gets One at (k, j) and (j, k) afterwards (see reduce).
+        Only rows i and j and the cells (k, i) and (k, j) move, for the keys
+        k of row i, which by symmetric support are all the rows with a
+        non-Empty (k, i). The new (j, k) is (i, k) odot (j, k) and the new
+        (k, j) is (k, i) odot (k, j); on the boolean entries odot is `and`,
+        and an Empty (j, k) or (k, j) takes the other entry.
         """
-        rows, cols = self.rows, self.cols
-        ri, ci, rj, cj = rows.pop(i), cols.pop(i), rows[j], cols[j]
-        closed = [k for k, e in ci.items() if e and rj.get(k)] if triangles else ()
+        rows = self.rows
+        ri, rj = rows.pop(i), rows[j]
         self.ones.pop(i, None)
         del self.ids[bisect_left(self.ids, i)]
-        delta = -rj.pop(i, False)
-        for c, e in ri.items():
-            col = cols[c]
-            del col[i]
-            if c == j:
+        delta = -rj.pop(i)
+        for k, e in ri.items():
+            if k == j:
                 continue
-            old = rj.get(c)
+            old = rj.get(k)
             if old is None:
-                rj[c] = col[j] = e
+                rj[k] = e
                 delta += e
             elif old and not e:
-                rj[c] = col[j] = False
+                rj[k] = False
                 delta -= 1
-        self._count(j, delta)
-        for r, e in ci.items():
-            if r == j:
-                continue
-            row = rows[r]
-            del row[i]
+            row = rows[k]
+            f = row.pop(i)
             old = row.get(j)
-            # An Empty (r, j) takes (r, i)'s entry. Otherwise (r, j) becomes
-            # (r, i) and (r, j), and row r has one One fewer unless both
+            # An Empty (k, j) takes (k, i)'s entry. Otherwise (k, j) becomes
+            # (k, i) and (k, j), and row k has one One fewer unless both
             # were Zero.
             if old is None:
-                row[j] = cj[r] = e
+                row[j] = f
             else:
-                if old and not e:
-                    row[j] = cj[r] = False
-                if old or e:
-                    self._count(r, -1)
-        for k in closed:
-            self._put(k, j, True)
-            self._put(j, k, True)
+                if old and not f:
+                    row[j] = False
+                if old or f:
+                    self._count(k, -1)
+        self._count(j, delta)
 
 
 def reduce(m: CharMatrix, i: int, j: int) -> CharMatrix:
@@ -555,15 +521,24 @@ def reduce(m: CharMatrix, i: int, j: int) -> CharMatrix:
         raise ValueError(f"invalid positions ({i}, {j}) for a {n}x{n} matrix")
     if m.entry(i, j) is not CharEntry.ONE:
         raise ValueError(f"entry ({i}, {j}) is not 1; the pair cannot be merged")
-    sparse = _MergeMatrix.of_char_matrix(m)
-    sparse.fold(i, j, triangles=True)
-    return sparse.to_char_matrix()
+    old, i0, j0 = m.entries, i - 1, j - 1
+    rows = [list(row) for row in old]
+    for k in range(n):
+        rows[j0][k] = odot(old[i0][k], old[j0][k])
+        rows[k][j0] = odot(old[k][i0], old[k][j0])
+    for k in range(n):
+        if old[k][i0] is CharEntry.ONE and old[j0][k] is CharEntry.ONE:
+            rows[k][j0] = rows[j0][k] = CharEntry.ONE
+    del rows[i0]
+    for row in rows:
+        del row[i0]
+    return CharMatrix.from_rows(rows)
 
 
 # ---- the merge heuristic ----
 
 
-def _merge_steps(m: _MergeMatrix, triangles: bool) -> Iterator[tuple[int, int]]:
+def _merge_steps(m: _MergeMatrix) -> Iterator[tuple[int, int]]:
     """Two-phase merge selection on m, folding it in place as it goes.
 
     Phase one merges forced rows (exactly one One) until none is left, then
@@ -574,14 +549,36 @@ def _merge_steps(m: _MergeMatrix, triangles: bool) -> Iterator[tuple[int, int]]:
         while (pick := m.pick(forced)) is not None:
             i, j = pick
             yield m.position(i), m.position(j)
-            m.fold(i, j, triangles)
+            m.fold(i, j)
+
+
+def _rows(m: CharMatrix) -> dict[int, dict[int, bool]]:
+    """m's rows in _MergeMatrix's encoding, keyed by 1-based position."""
+    return {
+        r: {
+            c: e is CharEntry.ONE
+            for c, e in enumerate(row, start=1)
+            if c != r and e is not CharEntry.EMPTY
+        }
+        for r, row in enumerate(m.entries, start=1)
+    }
 
 
 def matrix_only_merge(m: CharMatrix) -> tuple[CharMatrix, list[tuple[int, int]]]:
-    """Run the merge selection policy on a bare matrix via reduce's fold."""
-    sparse = _MergeMatrix.of_char_matrix(m)
-    trace = list(_merge_steps(sparse, triangles=True))
-    return sparse.to_char_matrix(), trace
+    """Run the merge selection policy on a bare matrix, following each merge
+    by reduce.
+
+    Every step picks on a _MergeMatrix of m's rows, so the pick rule lives
+    in _MergeMatrix.pick alone; that matrix is only picked from, never
+    folded, and m may have any Empty pattern. A step costs O(n^2), as
+    reduce does: the input is already n^2.
+    """
+    trace: list[tuple[int, int]] = []
+    for forced in (True, False):
+        while (pick := _MergeMatrix(_rows(m)).pick(forced)) is not None:
+            trace.append(pick)
+            m = reduce(m, *pick)
+    return m, trace
 
 
 def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]]:
@@ -610,7 +607,7 @@ def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]
     trace: list[tuple[int, int]] = []
     while True:
         merged = len(trace)
-        for i, j in _merge_steps(_MergeMatrix.of_trees(c.trees), triangles=False):
+        for i, j in _merge_steps(_MergeMatrix.of_trees(c.trees)):
             c = merge_trees(c, i, j)
             trace.append((i, j))
         if len(trace) == merged:

@@ -6,6 +6,9 @@ covering by direct pairwise checks, every merge rebuilds that matrix as a new
 (n-1)^2 tuple through the odot-only fold, and every policy step rescans every
 cell. It is O(n^3) in the star count n, which is why it lives here and not in
 the library; the tests compare the library's traces and coverings against it.
+matrix_only_merge is the same policy on a bare matrix with the triangle rule
+after each fold, the reference for the library's reduce and
+matrix_only_merge.
 """
 
 from __future__ import annotations
@@ -90,6 +93,28 @@ def _pick_row(m: CharMatrix, forced: bool) -> tuple[int, int] | None:
         if best is None or empties > best[0]:
             best = (empties, r, row.index(CharEntry.ONE) + 1)
     return None if best is None else best[1:]
+
+
+def _close_triangles(m: CharMatrix, folded: CharMatrix, i: int, j: int) -> CharMatrix:
+    """The triangle rule on folded, the fold of i into j: every k with
+    (k, i) = One and (j, k) = One in m gets One at (k, j) and (j, k)."""
+    rows = [list(row) for row in folded.entries]
+    at = {p: p - 1 - (p > i) for p in range(1, m.n + 1) if p != i}
+    for k in at:
+        if k != j and m.entry(k, i) is CharEntry.ONE and m.entry(j, k) is CharEntry.ONE:
+            rows[at[k]][at[j]] = rows[at[j]][at[k]] = CharEntry.ONE
+    return CharMatrix.from_rows(rows)
+
+
+def matrix_only_merge(m: CharMatrix) -> tuple[CharMatrix, list[tuple[int, int]]]:
+    """The two-phase policy on a bare matrix, each merge followed by the
+    odot fold plus the triangle rule."""
+    trace: list[tuple[int, int]] = []
+    for forced in (True, False):
+        while (pick := _pick_row(m, forced)) is not None:
+            trace.append(pick)
+            m = _close_triangles(m, _entrywise_fold(m, *pick), *pick)
+    return m, trace
 
 
 def merge_pass(c: Covering) -> tuple[Covering, list[tuple[int, int]]]:

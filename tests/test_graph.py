@@ -166,6 +166,42 @@ class TestFlowKernelCache:
         assert max_vertex_disjoint_paths(g, sources, {2, 3}) == 1
 
 
+def _former_layout(g: DiGraph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """head and arcs as _SplitGraph built them from sorted(g.edges)."""
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    pairs = [(2 * i, 2 * i + 1) for i in range(len(index))]
+    pairs += [(2 * index[t] + 1, 2 * index[h]) for t, h in sorted(g.edges)]
+    arcs: list[list[int]] = [[] for _ in range(2 * len(index))]
+    head: list[int] = []
+    for a, b in pairs:
+        arcs[a].append(len(head))
+        head.append(b)
+        arcs[b].append(len(head))
+        head.append(a)
+    return head, [tuple(ks) for ks in arcs]
+
+
+class TestSplitGraphLayout:
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs_keep_the_sorted_edge_layout(self, seed):
+        # The edge arcs are laid out from the per-vertex sorted successor
+        # lists; that must be the arc numbering sorting every edge gave.
+        # Sparse ids keep the vertex set's iteration order from being sorted.
+        rng = random.Random(seed)
+        g = random_digraph(rng, max_vertices=15, max_edges=60)
+        ids = dict(zip(sorted(g.vertices), rng.sample(range(1, 10**6), len(g.vertices))))
+        g = DiGraph.of(ids.values(), ((ids[t], ids[h]) for t, h in g.edges))
+        kernel = _SplitGraph(g)
+        assert (kernel.head, kernel.arcs) == _former_layout(g)
+
+    def test_sparse_model_keeps_the_sorted_edge_layout(self):
+        g = build_extended_graph(random_sparse_model(random.Random(200), 200)).graph
+        for h in (g, reverse(g)):
+            kernel = _SplitGraph(h)
+            assert (kernel.head, kernel.arcs) == _former_layout(h)
+
+
 def _counted(g: DiGraph, sources, targets) -> tuple[list[int], bool]:
     """The kernel's start list for one call, and whether the memo served
     it: a count builds a new list, and a hit returns the stored one."""

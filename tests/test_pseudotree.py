@@ -25,6 +25,7 @@ from dynetid.pseudotree import (
     _MergeMatrix,
     _merge_steps,
     _mergeable_pair,
+    _rows,
     algorithm1_merge,
     are_disjoint,
     char_matrix,
@@ -39,9 +40,10 @@ from dynetid.pseudotree import (
     reduce,
 )
 
-from .mergeref import _entrywise_fold, _pick_row
+from .mergeref import _close_triangles, _entrywise_fold, _pick_row
 from .mergeref import char_matrix as reference_char_matrix
 from .mergeref import algorithm1_merge as reference_merge
+from .mergeref import matrix_only_merge as reference_matrix_only_merge
 from .mergeref import merge_pass as reference_pass
 from .randgen import random_digraph, random_model, random_sparse_model
 from .test_model import correlated_noise_model
@@ -116,14 +118,15 @@ class TestOdot:
         # _MergeMatrix keeps One as True and Zero as False and leaves Empty
         # out. Folding tree 1 into tree 2 must store odot of their entries
         # against tree 3, a at (1, 3) and (3, 1), b at (2, 3) and (3, 2),
-        # in that encoding, in the row and in the column.
+        # in that encoding, in row 2 and in row 3. The matrix has symmetric
+        # support, as every matrix the merge loop folds does.
         encode = {I: True, O: False, E: None}
         m = CharMatrix.from_rows([(O, I, a), (O, O, b), (a, b, O)])
-        sparse = _MergeMatrix.of_char_matrix(m)
-        sparse.fold(1, 2, triangles=False)
+        sparse = _MergeMatrix(_rows(m))
+        sparse.fold(1, 2)
         want = encode[odot(a, b)]
-        assert sparse.rows[2].get(3) is sparse.cols[3].get(2) is want
-        assert sparse.rows[3].get(2) is sparse.cols[2].get(3) is want
+        assert sparse.rows[2].get(3) is want
+        assert sparse.rows[3].get(2) is want
 
 
 class TestIsPseudotree:
@@ -669,32 +672,35 @@ def _dump(result):
     return trace, [(sorted(t.roots), sorted(t.edges)) for t in covering.trees]
 
 
-def _random_char_matrix(rng: random.Random) -> CharMatrix:
+def _random_char_matrix(rng: random.Random, symmetric: bool = False) -> CharMatrix:
+    """A random matrix; with symmetric, (r, c) is Empty exactly when (c, r) is."""
     n = rng.randint(2, 7)
+    rows = [[O if r == c else rng.choice((O, I, E)) for c in range(n)] for r in range(n)]
+    if symmetric:
+        for r in range(n):
+            for c in range(r):
+                if (rows[r][c] is E) != (rows[c][r] is E):
+                    rows[r][c] = rows[c][r] = E
+    return CharMatrix.from_rows(rows)
+
+
+def _dense(m: _MergeMatrix) -> CharMatrix:
+    """m as a CharMatrix, its live ids in ascending order."""
+    entry = {True: I, False: O, None: E}
     return CharMatrix.from_rows(
-        [O if r == c else rng.choice((O, I, E)) for c in range(n)] for r in range(n)
+        (entry[False if r == c else m.rows[r].get(c)] for c in m.ids) for r in m.ids
     )
 
 
 def _assert_bookkeeping(m: _MergeMatrix) -> None:
-    """Entries are booleans, rows and cols hold the same ones, the live ids
-    key both, and ones counts the True entries of every row that has any."""
+    """Entries are booleans, the support is symmetric (c keys row r exactly
+    when r keys row c), the live ids key the rows, and ones counts the True
+    entries of every row that has any."""
     entries = {(r, c, e) for r, row in m.rows.items() for c, e in row.items()}
-    assert entries == {(r, c, e) for c, col in m.cols.items() for r, e in col.items()}
     assert all(e is True or e is False for _, _, e in entries)
-    assert sorted(m.rows) == sorted(m.cols) == m.ids
+    assert {(r, c) for r, c, _ in entries} == {(c, r) for r, c, _ in entries}
+    assert sorted(m.rows) == m.ids
     assert m.ones == {r: k for r, row in m.rows.items() if (k := sum(row.values()))}
-
-
-def _close_triangles(m: CharMatrix, folded: CharMatrix, i: int, j: int) -> CharMatrix:
-    """The triangle rule on folded, the fold of i into j: every k with
-    (k, i) = One and (j, k) = One in m gets One at (k, j) and (j, k)."""
-    rows = [list(row) for row in folded.entries]
-    at = {p: p - 1 - (p > i) for p in range(1, m.n + 1) if p != i}
-    for k in at:
-        if k != j and m.entry(k, i) is I and m.entry(j, k) is I:
-            rows[at[k]][at[j]] = rows[at[j]][at[k]] = I
-    return CharMatrix.from_rows(rows)
 
 
 class TestMergeAgainstReference:
@@ -703,28 +709,36 @@ class TestMergeAgainstReference:
     @given(SEEDS)
     @settings(max_examples=300, deadline=None)
     def test_fold_and_pick_match_the_dense_ones(self, seed):
-        # On any matrix, exact or not: the in-place fold without the
-        # triangle rule equals the dense odot fold for every One, with it
-        # that fold plus the triangle rule, and the sparse pick names the
-        # same positions as the dense row scan. Every fold keeps rows, cols
-        # and the One counts in step.
+        # The sparse pick names the same positions as the dense row scan on
+        # any matrix, Empty pattern asymmetric or not. On matrices with
+        # symmetric support, the kind of_trees builds, the in-place fold
+        # equals the dense odot fold for every One and keeps the support
+        # symmetric and the One counts in step.
         rng = random.Random(seed)
         m = _random_char_matrix(rng)
         for forced in (True, False):
-            sparse = _MergeMatrix.of_char_matrix(m)
-            _assert_bookkeeping(sparse)
+            sparse = _MergeMatrix(_rows(m))
             pick = sparse.pick(forced)
             got = None if pick is None else tuple(map(sparse.position, pick))
             assert got == _pick_row(m, forced)
+        m = _random_char_matrix(rng, symmetric=True)
         for i, j in _ones(m):
-            for triangles in (False, True):
-                sparse = _MergeMatrix.of_char_matrix(m)
-                sparse.fold(i, j, triangles)
-                _assert_bookkeeping(sparse)
-                want = _entrywise_fold(m, i, j)
-                if triangles:
-                    want = _close_triangles(m, want, i, j)
-                assert sparse.to_char_matrix() == want
+            sparse = _MergeMatrix(_rows(m))
+            _assert_bookkeeping(sparse)
+            sparse.fold(i, j)
+            _assert_bookkeeping(sparse)
+            assert _dense(sparse) == _entrywise_fold(m, i, j)
+
+    @given(SEEDS)
+    @settings(max_examples=300, deadline=None)
+    def test_reduce_and_matrix_only_merge_match_the_dense_ones(self, seed):
+        # On any matrix, Empty pattern asymmetric or not: reduce is the
+        # dense odot fold plus the triangle rule for every One, and the
+        # matrix-only merge gives mergeref's trace and final matrix.
+        m = _random_char_matrix(random.Random(seed))
+        for i, j in _ones(m):
+            assert reduce(m, i, j) == _close_triangles(m, _entrywise_fold(m, i, j), i, j)
+        assert matrix_only_merge(m) == reference_matrix_only_merge(m)
 
     def test_random_models_match(self):
         for seed in range(400):
@@ -754,13 +768,13 @@ class TestMergeAgainstReference:
                 continue
             c = initial_covering(eg)
             while True:
+                assert char_matrix(c) == reference_char_matrix(c)
                 m = _MergeMatrix.of_trees(c.trees)
-                assert m.to_char_matrix() == reference_char_matrix(c)
                 _assert_bookkeeping(m)
                 seen["cyclic trees"] += sum(len(t.edges) == len(t.vertices) for t in c.trees)
                 seen["ones"] += sum(m.ones.values())
                 seen["passes"] += 1
-                steps = list(_merge_steps(m, triangles=False))
+                steps = list(_merge_steps(m))
                 if not steps:
                     break
                 # Each step's positions hold in the covering as merged so far.
