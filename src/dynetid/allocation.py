@@ -58,8 +58,8 @@ def prune(
     excitation_bounds(eg, covering_used).
 
     The trials, the verification and each rollback count on one graph, so
-    the flow kernel's memo (graph.max_vertex_disjoint_paths) recounts a
-    vertex only when a removal took a start of its last full path family.
+    the flow kernel's memo (graph._SplitGraph) recounts a vertex only when
+    a removal took a start of its last full path family.
     """
     active = set(r0)
     pruned: list[int] = []

@@ -3,20 +3,11 @@
 Vertices are arbitrary positive integers; nothing requires them to be
 contiguous. Graphs are immutable after construction and every operation is a
 pure function, so values can be shared freely. The one mutable thing a
-graph holds is its flow kernel, which max_vertex_disjoint_paths builds on
-first use and restores after every call. Beside it sit two caches: a
-shortest-path forest from the last source set counted from, rebuilt only
-when the source set changes, and a memo that maps a target set to the
-start vertices of the last full family of disjoint paths found into it. A
-count whose source set holds those starts returns the target count unrun:
-the same paths still start inside the sources on the same immutable
-graph, and no count exceeds the number of targets. No result, comparison,
-hash or repr can observe either cache, and neither has a setting. A
-count serves each target through its own forest path, or else through an
-in-neighbour's, while that path is free, and searches only for the rest.
-Counting paths on one graph from two threads at once is not supported. All
-iteration is in ascending id order to keep downstream reports
-deterministic.
+graph holds is its flow kernel, _SplitGraph, which max_vertex_disjoint_paths
+builds on first use and keeps with its caches; no result, comparison, hash
+or repr can observe it. Counting paths on one graph from two threads at
+once is not supported. All iteration is in ascending id order to keep
+downstream reports deterministic.
 """
 
 from __future__ import annotations
@@ -306,35 +297,11 @@ def max_vertex_disjoint_paths(
 
     Paths must be disjoint including their endpoints, and a vertex lying in
     both sets counts as a zero-length path that occupies just that vertex.
-
-    Computed as max-flow on the split graph: each vertex v becomes an arc
-    v_in -> v_out of capacity one, so no two paths can share v, and a path
-    starts at a source's v_in and ends at a target's v_out. The zero-length
-    convention falls out of the construction. The split graph is built once
-    per graph, on its first call, and kept on the graph, together with a
-    breadth-first forest from the last call's sources; callers that ask
-    about one source set for many target sets, as a check of every vertex
-    does, build that forest once. Each call first takes every target's
-    forest path whose source is still free, or failing that, if the target
-    itself is still free, the free forest path of one of its in-neighbours
-    extended by the edge into the target; that is already a set of
-    disjoint paths. It then searches backward from the free targets left
-    to the nearest free source and augments along the path found until the
-    flow is maximum. It stops as soon as the flow reaches
-    min(|sources|, |targets|), so a vertex whose check passes never pays for
-    a failing search. On return the call undoes the arcs it touched, and
-    only those. An unknown source or target raises ValueError. A source set
-    passed again as the very object the cached forest was built from is not
-    checked again: it was checked before that forest was built.
-
-    A call whose paths reach every target also records their start vertices
-    under the target set, and a later call whose sources hold them all
-    returns len(targets) at once, with no forest and no flow. That is the
-    exact count: the recorded paths are vertex-disjoint paths of this graph
-    from those sources to every target, and no family has more paths than
-    there are targets. So a caller that drops sources one at a time, as
-    allocation's prune does, recounts only the target sets whose recorded
-    paths started at a dropped source.
+    An unknown source or target raises ValueError. Every count is the exact
+    maximum, by max-flow on the graph's vertex-split graph. Each graph builds
+    that kernel once, on its first call, and keeps it; its caches make
+    repeated counts cheaper and never change one (see _SplitGraph). Counting
+    on one graph from two threads at once is not supported.
     """
     return len(_path_starts(g, sources, targets))
 
@@ -343,7 +310,9 @@ def _path_starts(
     g: DiGraph, sources: Iterable[int], targets: Iterable[int]
 ) -> list[int]:
     """The sources a maximum path family starts from, one per path; the
-    kernel is built on first use (see max_vertex_disjoint_paths)."""
+    kernel is built on first use. A source set passed again as the very
+    object the cached forest was built from is not checked again: it was
+    checked before that forest was built."""
     src = frozenset(sources)
     tgt = frozenset(targets)
     kernel = g._kernel

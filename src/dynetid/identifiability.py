@@ -39,9 +39,9 @@ def vertex_checks(
 ) -> Iterator[VertexCheck]:
     """The path condition at each given internal vertex, in ascending order.
 
-    Lazy, so a caller that needs only whether every check passes can stop
-    at the first failure. A vertex without parameterized in-edges needs no
-    paths and runs no flow.
+    The reports take every check; path_condition_holds answers whether all
+    of them pass and stops at the first failure. A vertex without
+    parameterized in-edges needs no paths and runs no flow.
     """
     for j in sorted(vertices):
         targets = extended_in_neighbors(eg, j)

@@ -344,42 +344,35 @@ def char_matrix_from_adjacency(
     """Mergeability matrix of the star covering, by complex column products.
 
     Indexing follows the star covering: one row/column per vertex with
-    outgoing target edges, ascending. For distinct stars the product
-    a_ij = (col_i + i*e_i)^T (col_j + i*e_j) packs everything needed: the
-    real part counts shared out-neighbors (an in-degree conflict in the
-    union), the imaginary part flags adjacency between the two centers, and
-    a_ij = 0 is exactly vertex-disjointness. Tree i folds into tree j when
-    the real part vanishes, the centers are adjacent, and specifically the
-    edge from center j to center i exists so j's star reaches all of i's.
+    outgoing target edges, ascending. Centre v's column col_v + i*e_v is kept
+    as a sparse map: 1 at each head of v's target edges, i at v. For distinct
+    stars the product a_ij = (col_i + i*e_i)^T (col_j + i*e_j) packs
+    everything needed: the real part counts shared out-neighbors (an
+    in-degree conflict in the union), the imaginary part flags adjacency
+    between the two centers, and a_ij = 0 is exactly vertex-disjointness.
+    Tree i folds into tree j when the real part vanishes, the centers are
+    adjacent, and specifically the edge from center j to center i exists so
+    j's star reaches all of i's. A product runs over the keys of one column,
+    so n centres and T target edges cost O(n (n + T)).
     """
     targets = g.edges if target_edges is None else target_edges
     for e in targets:
         if e not in g.edges:
             raise ValueError(f"target edge {e} is not in the graph")
-    order = g.sorted_vertices()
-    pos = {v: k for k, v in enumerate(order)}
-    centers = sorted({t for t, _ in targets})
+    cols: dict[int, dict[int, complex]] = {}
+    for t, h in targets:
+        cols.setdefault(t, {t: 1j})[h] = 1
+    centers = sorted(cols)
 
-    cols: dict[int, list[complex]] = {}
-    for v in centers:
-        col = [0j] * len(order)
-        for t, h in targets:
-            if t == v:
-                col[pos[h]] += 1
-        col[pos[v]] += 1j
-        cols[v] = col
-
-    n = len(centers)
     rows = []
-    for i in range(n):
-        vi = centers[i]
+    for vi in centers:
         row = []
-        for j in range(n):
-            vj = centers[j]
-            if i == j:
+        for vj in centers:
+            if vi == vj:
                 row.append(CharEntry.ZERO)
                 continue
-            a = sum(x * y for x, y in zip(cols[vi], cols[vj]))
+            cj = cols[vj]
+            a = sum(x * cj[v] for v, x in cols[vi].items() if v in cj)
             if a == 0:
                 row.append(CharEntry.EMPTY)
             elif a.real == 0 and a.imag != 0 and (vj, vi) in targets:
@@ -466,38 +459,27 @@ class _MergeMatrix:
 
         Only rows i and j and the cells (k, i) and (k, j) move, for the keys
         k of row i, which by symmetric support are all the rows with a
-        non-Empty (k, i). The new (j, k) is (i, k) odot (j, k) and the new
-        (k, j) is (k, i) odot (k, j); on the boolean entries odot is `and`,
-        and an Empty (j, k) or (k, j) takes the other entry.
+        non-Empty (k, i).
         """
         rows = self.rows
         ri, rj = rows.pop(i), rows[j]
         self.ones.pop(i, None)
         del self.ids[bisect_left(self.ids, i)]
+        del ri[j]
         delta = -rj.pop(i)
         for k, e in ri.items():
-            if k == j:
-                continue
             old = rj.get(k)
-            if old is None:
+            if old is None or (old and not e):
                 rj[k] = e
-                delta += e
-            elif old and not e:
-                rj[k] = False
-                delta -= 1
+                delta += e - bool(old)
             row = rows[k]
             f = row.pop(i)
             old = row.get(j)
-            # An Empty (k, j) takes (k, i)'s entry. Otherwise (k, j) becomes
-            # (k, i) and (k, j), and row k has one One fewer unless both
-            # were Zero.
             if old is None:
                 row[j] = f
-            else:
-                if old and not f:
-                    row[j] = False
-                if old or f:
-                    self._count(k, -1)
+            elif old or f:
+                row[j] = old and f
+                self._count(k, -1)
         self._count(j, delta)
 
 

@@ -8,11 +8,14 @@ cell. It is O(n^3) in the star count n, which is why it lives here and not in
 the library; the tests compare the library's traces and coverings against it.
 matrix_only_merge is the same policy on a bare matrix with the triangle rule
 after each fold, the reference for the library's reduce and
-matrix_only_merge.
+matrix_only_merge. dense_char_matrix_from_adjacency is the formula matrix
+with a dense column of length |V| per star centre and one scan of the
+target edges per centre, O(n^2 |V|); the library multiplies sparse columns.
 """
 
 from __future__ import annotations
 
+from dynetid.graph import DiGraph, Edge
 from dynetid.model import ExtendedGraph
 from dynetid.pseudotree import (
     CharEntry,
@@ -38,6 +41,58 @@ def char_matrix(c: Covering) -> CharMatrix:
             elif not (ti.vertices & c.trees[j].vertices):
                 row.append(CharEntry.EMPTY)
             elif is_mergeable(ti, c.trees[j]):
+                row.append(CharEntry.ONE)
+            else:
+                row.append(CharEntry.ZERO)
+        rows.append(tuple(row))
+    return CharMatrix(tuple(rows))
+
+
+def dense_char_matrix_from_adjacency(
+    g: DiGraph, target_edges: frozenset[Edge] | None = None
+) -> CharMatrix:
+    """Mergeability matrix of the star covering, by complex column products.
+
+    Indexing follows the star covering: one row/column per vertex with
+    outgoing target edges, ascending. For distinct stars the product
+    a_ij = (col_i + i*e_i)^T (col_j + i*e_j) packs everything needed: the
+    real part counts shared out-neighbors (an in-degree conflict in the
+    union), the imaginary part flags adjacency between the two centers, and
+    a_ij = 0 is exactly vertex-disjointness. Tree i folds into tree j when
+    the real part vanishes, the centers are adjacent, and specifically the
+    edge from center j to center i exists so j's star reaches all of i's.
+    """
+    targets = g.edges if target_edges is None else target_edges
+    for e in targets:
+        if e not in g.edges:
+            raise ValueError(f"target edge {e} is not in the graph")
+    order = g.sorted_vertices()
+    pos = {v: k for k, v in enumerate(order)}
+    centers = sorted({t for t, _ in targets})
+
+    cols: dict[int, list[complex]] = {}
+    for v in centers:
+        col = [0j] * len(order)
+        for t, h in targets:
+            if t == v:
+                col[pos[h]] += 1
+        col[pos[v]] += 1j
+        cols[v] = col
+
+    n = len(centers)
+    rows = []
+    for i in range(n):
+        vi = centers[i]
+        row = []
+        for j in range(n):
+            vj = centers[j]
+            if i == j:
+                row.append(CharEntry.ZERO)
+                continue
+            a = sum(x * y for x, y in zip(cols[vi], cols[vj]))
+            if a == 0:
+                row.append(CharEntry.EMPTY)
+            elif a.real == 0 and a.imag != 0 and (vj, vi) in targets:
                 row.append(CharEntry.ONE)
             else:
                 row.append(CharEntry.ZERO)

@@ -42,6 +42,7 @@ from dynetid.pseudotree import (
 
 from .mergeref import _close_triangles, _entrywise_fold, _pick_row
 from .mergeref import char_matrix as reference_char_matrix
+from .mergeref import dense_char_matrix_from_adjacency
 from .mergeref import algorithm1_merge as reference_merge
 from .mergeref import matrix_only_merge as reference_matrix_only_merge
 from .mergeref import merge_pass as reference_pass
@@ -49,6 +50,8 @@ from .randgen import random_digraph, random_model, random_sparse_model
 from .test_model import correlated_noise_model
 
 O, I, E = CharEntry.ZERO, CharEntry.ONE, CharEntry.EMPTY
+
+SEEDS = st.integers(min_value=0, max_value=10**9)
 
 # Nine initial stars of an eleven-vertex host; the merge policy must shrink
 # this to five trees through the exact trace pinned below.
@@ -293,6 +296,31 @@ class TestCharMatrixFromAdjacency:
         with pytest.raises(ValueError, match="not in the graph"):
             char_matrix_from_adjacency(g, frozenset({(2, 1)}))
 
+    @given(SEEDS)
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_columns_match_the_dense_ones(self, seed):
+        # Vertex ids are spread out so that id order, not a vertex's index,
+        # has to fix the rows; each graph runs with all of its edges and
+        # with a random target subset, the empty one included.
+        rng = random.Random(seed)
+        small = random_digraph(rng)
+        spread = sorted(rng.sample(range(1, 60), len(small.vertices)))
+        ids = dict(zip(sorted(small.vertices), spread))
+        g = DiGraph.of(ids.values(), [(ids[t], ids[h]) for t, h in small.edges])
+        edges = sorted(g.edges)
+        for targets in (None, frozenset(rng.sample(edges, rng.randint(0, len(edges))))):
+            expected = dense_char_matrix_from_adjacency(g, targets).render()
+            assert char_matrix_from_adjacency(g, targets).render() == expected
+
+    @pytest.mark.parametrize("side", ("extended", "reversed"))
+    def test_sparse_model_matches_the_dense_columns(self, side):
+        eg = build_extended_graph(random_sparse_model(random.Random(200), 200))
+        if side == "reversed":
+            eg = _reversed_extended(eg)
+        targets = eg.parameterized_edges
+        expected = dense_char_matrix_from_adjacency(eg.graph, targets).render()
+        assert char_matrix_from_adjacency(eg.graph, targets).render() == expected
+
 
 class TestReduce:
     def test_two_by_two_base_case(self):
@@ -418,8 +446,6 @@ class TestAlgorithmOne:
         assert covering_violations(covering) == ()
         assert {min(t.roots) for t in covering.trees} == {5, 6, 7, 8}
 
-
-SEEDS = st.integers(min_value=0, max_value=10**9)
 
 WIDE_BUDGET = OracleBudget(max_vertices=8, max_edges=20, max_nodes_explored=500_000)
 
