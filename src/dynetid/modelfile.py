@@ -6,10 +6,12 @@ the model. Structural problems (wrong types, out-of-range ids, duplicates)
 raise ModelFileError; rule violations like self-loop modules are left to
 the model validator, which reports them rather than raising here.
 
-Each module, noise cell, excited vertex and feedthrough pair is accepted by
-one inline test. Error text is built only when an entry fails that test:
-the entry then runs the field helpers, which give the same messages, in the
-same order, as a parser that checks every entry with them.
+Each module, noise cell, excited vertex and feedthrough pair runs its checks
+once, in the order their messages fire: the object and its keys, each id's
+type and range, duplicates, then the status. Each check is a `type(x) is T`
+test that plain JSON values pass. Only a value that fails it goes to the
+field helper, which raises the message or accepts a subclass of the right
+type: json.loads builds none, but a caller of model_from_json may pass one.
 """
 
 from __future__ import annotations
@@ -72,29 +74,22 @@ def model_from_json(doc: Any) -> ModelSet:
         raise ModelFileError(f'"schema" must be {SCHEMA_VERSION}')
     L = _int_field(doc["L"], '"L"', 1)
 
-    # An entry that fails its inline test falls through to the helpers,
-    # which accept int subclasses too and raise the first error in order.
     if not isinstance(doc["modules"], list):
         raise ModelFileError('"modules" must be a list')
     modules: dict[tuple[int, int], EntryStatus] = {}
     for k, entry in enumerate(doc["modules"]):
-        if type(entry) is dict and entry.keys() == _MODULE_KEYS:
-            tail, head, status = entry["from"], entry["to"], entry["status"]
-            if (
-                type(tail) is int and 0 < tail <= L
-                and type(head) is int and 0 < head <= L
-                and type(status) is str and status in _STATUS_BY_NAME
-                and (tail, head) not in modules
-            ):
-                modules[(tail, head)] = _STATUS_BY_NAME[status]
-                continue
-        where = f"modules[{k}]"
-        _require_object(entry, where, required=("from", "to", "status"))
-        tail = _int_field(entry["from"], f'{where}.\"from\"', 1, L)
-        head = _int_field(entry["to"], f'{where}.\"to\"', 1, L)
+        if not (type(entry) is dict and entry.keys() == _MODULE_KEYS):
+            _require_object(entry, f"modules[{k}]", required=("from", "to", "status"))
+        tail, head, status = entry["from"], entry["to"], entry["status"]
+        if not (type(tail) is int and 0 < tail <= L):
+            tail = _int_field(tail, f'modules[{k}]."from"', 1, L)
+        if not (type(head) is int and 0 < head <= L):
+            head = _int_field(head, f'modules[{k}]."to"', 1, L)
         if (tail, head) in modules:
-            raise ModelFileError(f"{where} duplicates module ({tail}, {head})")
-        modules[(tail, head)] = _status_field(entry["status"], f'{where}.\"status\"')
+            raise ModelFileError(f"modules[{k}] duplicates module ({tail}, {head})")
+        if not (type(status) is str and status in _STATUS_BY_NAME):
+            _status_field(status, f'modules[{k}]."status"')
+        modules[(tail, head)] = _STATUS_BY_NAME[status]
 
     columns: list[dict[int, EntryStatus]] = []
     if "noise" in doc:
@@ -108,34 +103,27 @@ def model_from_json(doc: Any) -> ModelSet:
                 raise ModelFileError(f"noise.columns[{c}] must be a list")
             parsed: dict[int, EntryStatus] = {}
             for k, entry in enumerate(column):
-                if type(entry) is dict and entry.keys() == _CELL_KEYS:
-                    row, status = entry["row"], entry["status"]
-                    if (
-                        type(row) is int and 0 < row <= L
-                        and type(status) is str and status in _STATUS_BY_NAME
-                        and row not in parsed
-                    ):
-                        parsed[row] = _STATUS_BY_NAME[status]
-                        continue
-                cell = f"noise.columns[{c}][{k}]"
-                _require_object(entry, cell, required=("row", "status"))
-                row = _int_field(entry["row"], f'{cell}.\"row\"', 1, L)
+                if not (type(entry) is dict and entry.keys() == _CELL_KEYS):
+                    _require_object(entry, f"noise.columns[{c}][{k}]", required=("row", "status"))
+                row, status = entry["row"], entry["status"]
+                if not (type(row) is int and 0 < row <= L):
+                    row = _int_field(row, f'noise.columns[{c}][{k}]."row"', 1, L)
                 if row in parsed:
-                    raise ModelFileError(f"{cell} duplicates row {row}")
-                parsed[row] = _status_field(entry["status"], f'{cell}.\"status\"')
+                    raise ModelFileError(f"noise.columns[{c}][{k}] duplicates row {row}")
+                if not (type(status) is str and status in _STATUS_BY_NAME):
+                    _status_field(status, f'noise.columns[{c}][{k}]."status"')
+                parsed[row] = _STATUS_BY_NAME[status]
             columns.append(parsed)
 
     if not isinstance(doc["excited"], list):
         raise ModelFileError('"excited" must be a list')
     seen: set[int] = set()
     for k, v in enumerate(doc["excited"]):
-        if type(v) is int and 0 < v <= L and v not in seen:
-            seen.add(v)
-            continue
-        vertex = _int_field(v, f"excited[{k}]", 1, L)
-        if vertex in seen:
-            raise ModelFileError(f"excited[{k}] duplicates vertex {vertex}")
-        seen.add(vertex)
+        if not (type(v) is int and 0 < v <= L):
+            v = _int_field(v, f"excited[{k}]", 1, L)
+        if v in seen:
+            raise ModelFileError(f"excited[{k}] duplicates vertex {v}")
+        seen.add(v)
 
     if not isinstance(doc["strictly_proper"], bool):
         raise ModelFileError('"strictly_proper" must be a boolean')
@@ -147,22 +135,16 @@ def model_from_json(doc: Any) -> ModelSet:
             raise ModelFileError('"feedthrough_edges" must be a list')
         feedthrough = set()
         for k, pair in enumerate(raw):
-            if type(pair) is list and len(pair) == 2:
-                tail, head = pair
-                if (
-                    type(tail) is int and 0 < tail <= L
-                    and type(head) is int and 0 < head <= L
-                    and (tail, head) not in feedthrough
-                ):
-                    feedthrough.add((tail, head))
-                    continue
-            where = f"feedthrough_edges[{k}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ModelFileError(f"{where} must be a [from, to] pair")
-            tail = _int_field(pair[0], f"{where}[0]", 1, L)
-            head = _int_field(pair[1], f"{where}[1]", 1, L)
+            if not (type(pair) is list and len(pair) == 2):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ModelFileError(f"feedthrough_edges[{k}] must be a [from, to] pair")
+            tail, head = pair[0], pair[1]
+            if not (type(tail) is int and 0 < tail <= L):
+                tail = _int_field(tail, f"feedthrough_edges[{k}][0]", 1, L)
+            if not (type(head) is int and 0 < head <= L):
+                head = _int_field(head, f"feedthrough_edges[{k}][1]", 1, L)
             if (tail, head) in feedthrough:
-                raise ModelFileError(f"{where} duplicates edge ({tail}, {head})")
+                raise ModelFileError(f"feedthrough_edges[{k}] duplicates edge ({tail}, {head})")
             feedthrough.add((tail, head))
 
     return ModelSet(

@@ -1,11 +1,12 @@
 """Reference model-file parser for differential tests.
 
-This is the parser the library used before it accepted each entry with one
-inline test: it formats every entry's `where` string and runs the field
-helpers on every entry, accepted or not, and it checks excited duplicates by
-scanning a list. The messages, and the order in which the checks fire, are
-the contract, so the tests require the library to give an equal ModelSet or
-the same error as this parser on every document.
+This is the parser the library used before it gave each check a fast
+`type(x) is T` test: it formats every entry's `where` string and runs the
+field helpers on every entry, accepted or not, and it checks excited
+duplicates by scanning a list. The messages, the order in which the checks
+fire, and the subclasses the helpers accept are the contract, so the tests
+require the library to give an equal ModelSet or the same error as this
+parser on every document, subclass values included.
 """
 
 from __future__ import annotations

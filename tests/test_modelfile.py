@@ -20,7 +20,7 @@ from dynetid.modelfile import (
 
 from . import parseref
 from .malformed import KINDS, kinds_of, mutate
-from .randgen import random_model
+from .randgen import random_model, random_sparse_model
 from .test_model import correlated_noise_model
 
 P, K = EntryStatus.PARAMETERIZED, EntryStatus.KNOWN
@@ -230,8 +230,23 @@ def _outcome(parse, doc):
         return type(exc), str(exc)
 
 
+# A plain subclass of each JSON container and scalar type the parser reads.
+_SUBCLASS = {t: type(f"_{t.__name__}", (t,), {}) for t in (int, str, dict, list)}
+
+
+def _rewrap(value, rng: random.Random, share: float):
+    """`value` with about `share` of its ints, strs, dicts and lists, at any
+    depth, rebuilt as instances of subclasses (dict keys and bools stay)."""
+    if type(value) is dict:
+        value = {key: _rewrap(v, rng, share) for key, v in value.items()}
+    elif type(value) is list:
+        value = [_rewrap(v, rng, share) for v in value]
+    subclass = _SUBCLASS.get(type(value))
+    return subclass(value) if subclass is not None and rng.random() < share else value
+
+
 class TestAgainstReference:
-    """The inline-test parser against the helper-per-entry reference."""
+    """The single-pass parser against the helper-per-entry reference."""
 
     @staticmethod
     def _document(rng: random.Random) -> dict:
@@ -243,11 +258,9 @@ class TestAgainstReference:
             doc["feedthrough_edges"] = rng.sample(modules, rng.randint(1, len(modules)))
         return doc
 
-    @given(SEEDS)
-    @settings(max_examples=500, deadline=None)
-    def test_same_model_or_same_error(self, seed):
-        rng = random.Random(seed)
-        doc = self._document(rng)
+    @classmethod
+    def _malformed(cls, rng: random.Random):
+        doc = cls._document(rng)
         kinds = kinds_of(doc)
         # Entries first and the enclosing objects last, so no mutation
         # removes what a later one breaks. A broken document hides every
@@ -255,8 +268,83 @@ class TestAgainstReference:
         for kind in reversed(KINDS):
             if kind in kinds and rng.random() < (0.15 if kind == "document" else 0.5):
                 doc = mutate(doc, rng, kind)
+        return doc
+
+    @given(SEEDS)
+    @settings(max_examples=500, deadline=None)
+    def test_same_model_or_same_error(self, seed):
+        doc = self._malformed(random.Random(seed))
         expected = _outcome(parseref.model_from_json, doc)
         assert _outcome(model_from_json, doc) == expected
+
+    @given(SEEDS)
+    @settings(max_examples=300, deadline=None)
+    def test_subclass_values(self, seed):
+        # json.loads never builds subclasses, but a caller of model_from_json
+        # may pass them: the helpers accept int, str, dict and list subclasses
+        # wherever the plain type is accepted, and refuse bool as an integer.
+        rng = random.Random(seed)
+        doc = self._malformed(rng)
+        if type(doc) is dict:
+            share = rng.random()
+            for key in ("modules", "noise", "excited", "feedthrough_edges"):
+                if key in doc:
+                    doc[key] = _rewrap(doc[key], rng, share)
+        expected = _outcome(parseref.model_from_json, doc)
+        assert _outcome(model_from_json, doc) == expected
+
+
+class TestAgainstReferenceAtScale:
+    """Both parsers on one L = 2,000 document with every kind of entry, whole
+    and with single entries broken anywhere in its lists."""
+
+    L = 2000
+
+    @pytest.fixture(scope="class")
+    def doc(self) -> dict:
+        rng = random.Random(self.L)
+        doc = model_to_json(random_sparse_model(random.Random(self.L), self.L))
+        for entry in doc["modules"]:
+            if rng.random() < 0.15:
+                entry["status"] = "known"
+        rows = range(1, self.L + 1)
+        doc["noise"] = {"p": 4, "columns": [
+            [{"row": r, "status": "param"} for r in sorted(rng.sample(rows, self.L // 10))],
+            [{"row": rng.choice(rows), "status": "known"}],
+            [{"row": r, "status": "param"} for r in sorted(rng.sample(rows, self.L // 4))],
+            [{"row": rng.choice(rows), "status": "known"}],
+        ]}
+        doc["strictly_proper"] = False
+        modules = [[e["from"], e["to"]] for e in doc["modules"]]
+        doc["feedthrough_edges"] = rng.sample(modules, len(modules) // 2)
+        return doc
+
+    def test_same_model(self, doc):
+        m = model_from_json(doc)
+        assert m == parseref.model_from_json(doc)
+        assert m.p == 4 and not m.strictly_proper_modules
+        assert K in m.modules.values() and P in m.modules.values()
+
+    @pytest.mark.parametrize("kind", ("module", "cell", "excited", "pair"))
+    def test_same_error(self, doc, kind):
+        rng = random.Random(f"{self.L}/{kind}")
+        errors = 0
+        for _ in range(20):
+            # mutate breaks entries in place, so each round copies every
+            # entry of the document's lists (their values are ints and strs).
+            broken = {**doc, "noise": {**doc["noise"], "columns": [
+                [dict(cell) for cell in column] for column in doc["noise"]["columns"]
+            ]}}
+            for key in ("modules", "feedthrough_edges"):
+                broken[key] = [type(e)(e) for e in doc[key]]
+            broken["excited"] = list(doc["excited"])
+            broken = mutate(broken, rng, kind)
+            expected = _outcome(parseref.model_from_json, broken)
+            assert _outcome(model_from_json, broken) == expected
+            errors += isinstance(expected, tuple)
+        # A few mutations leave the document well-formed (a cell's extra
+        # "row" key, say); nearly all of them must be errors.
+        assert errors >= 15
 
 
 class TestSerialization:
