@@ -2,7 +2,12 @@
 
 Reports are fully deterministic: no timestamps, no absolute paths, stable
 key order, so repeated runs on the same input are byte-identical. All
-diagnostics go to stderr; the report goes to stdout or --out.
+diagnostics go to stderr; the report goes to stdout or --out. A JSON
+report is exactly json.dumps(report, indent=2) plus a newline. Before
+Python 3.13, json.dumps runs its pure-Python encoder whenever an indent is
+given, so _emit writes the same bytes through _indented instead; from 3.13
+json's C encoder handles the indent and is the faster one, so _emit picks
+json.dumps there, once, at import.
 
 main loads the model, runs the command and builds the report envelope
 ({"command", "input_digest", "result"}) in one place; every error exit is
@@ -20,6 +25,7 @@ import colorsys
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from dynetid.allocation import AllocationResult, allocate
@@ -76,9 +82,61 @@ def _render_text(value: Any, indent: int = 0) -> list[str]:
     return lines
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _indented(value: Any, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) for an acyclic value, with each line
+    break written as pad (a newline and the value's own indentation).
+
+    Types are tested exactly: a subclass, a float, a tuple, an empty
+    container or a non-str key goes to json.dumps, whose every "\\n" is a
+    line break (it escapes newlines in strings), so replacing them with pad
+    re-indents its output exactly. "%d" would print True as 1, so a row
+    template takes only exact ints.
+    """
+    kind = type(value)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is list and value:
+        if all(type(x) is int for x in value):
+            return f"[{inner}{sep.join(map(int.__repr__, value))}{pad}]"
+        first = value[0]
+        if type(first) is dict and first and all(type(k) is str for k in first):
+            keys = tuple(first)
+            rows = [tuple(r.values()) for r in value if type(r) is dict and tuple(r) == keys]
+            if len(rows) == len(value) and all(type(x) is int for row in rows for x in row):
+                deeper = inner + "  "
+                fields = f",{deeper}".join(
+                    f"{encode_basestring_ascii(k).replace('%', '%%')}: %d" for k in keys
+                )
+                row = f"{{{deeper}{fields}{inner}}}"
+                return f"[{inner}{sep.join([row % r for r in rows])}{pad}]"
+        return f"[{inner}{sep.join([_indented(x, inner) for x in value])}{pad}]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = sep.join([
+            f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()
+        ])
+        return f"{{{inner}{items}{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+_encode = (
+    functools.partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _indented
+)
+
+
 def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _encode(report) + "\n"
     else:
         text = "\n".join(_render_text(report)) + "\n"
     if args.out:

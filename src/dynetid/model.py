@@ -280,8 +280,8 @@ class ExtendedGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "internal", frozenset(range(1, self.L + 1)))
         param_in: dict[int, list[int]] = {j: [] for j in self.internal}
-        for i, j in self.parameterized_edges:
-            if j in param_in and (i, j) in self.graph.edges:
+        for i, j in self.parameterized_edges & self.graph.edges:
+            if j in param_in:
                 param_in[j].append(i)
         object.__setattr__(
             self, "param_in", {j: frozenset(ins) for j, ins in param_in.items()}

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report payloads, DOT export."""
 
+import enum
 import json
 import os
 import re
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dynetid.cli as cli
 import dynetid.dual
@@ -526,6 +529,145 @@ class TestReportPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "command",
+        ["validate", "check", "cover", "bounds", "allocate", "allocate-measurements",
+         "oracle-compare"],
+    )
+    @pytest.mark.parametrize("valid", [True, False], ids=["diamond", "invalid"])
+    def test_every_command_writes_canonical_json(self, tmp_path, capsys, command, valid):
+        # A report is exactly json.dumps(report, indent=2) plus a newline,
+        # on stdout and in --out alike.
+        m = diamond_model() if valid else ModelSet.from_edges(2, [(1, 1), (1, 2)])
+        path = write_model(tmp_path, m)
+        report_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, [command, path])
+        assert code == (0 if valid else 2)
+        assert run(capsys, [command, path, "--out", str(report_path)]) == (code, "", "")
+        assert report_path.read_text(encoding="utf-8") == out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from([_Color.RED, float("nan"), float("inf"), -0.0])
+)
+_KEY = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+# Lists of dicts sharing one key set; a row's key order or a bool or
+# IntEnum value may break the shape the writer's row template takes.
+_ROWS = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.tuples(
+            st.permutations(keys),
+            st.lists(st.integers() | st.booleans() | st.just(_Color.RED),
+                     min_size=len(keys), max_size=len(keys)),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(lambda rows: [dict(zip(*row)) for row in rows])
+)
+
+_JSONISH = st.recursive(
+    _SCALAR | _ROWS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(st.integers(), max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+        | st.dictionaries(_KEY, inner, max_size=3)
+        | st.sets(st.integers(), min_size=1, max_size=2)
+    ),
+    max_leaves=12,
+)
+
+
+def _same_as_json(value, pad="\n") -> None:
+    try:
+        want = json.dumps(value, indent=2).replace("\n", pad)
+    except Exception as exc:  # the writer must fail the same way
+        with pytest.raises(type(exc)):
+            cli._indented(value, pad)
+    else:
+        assert cli._indented(value, pad) == want
+
+
+CHECK_ROWS = [
+    {"vertex": 1, "required": 2, "achieved": 2},
+    {"vertex": 3, "required": 0, "achieved": 0},
+]
+
+
+class TestIndentedWriter:
+    """cli._indented against json.dumps(indent=2), on every Python version,
+    whichever encoder _emit uses there."""
+
+    def test_emit_uses_json_from_python_3_13(self):
+        assert (cli._encode is cli._indented) == (sys.version_info < (3, 13))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_JSONISH, st.sampled_from(["\n", "\n    "]))
+    @example({"a": {1, 2}}, "\n")
+    def test_matches_json(self, value, pad):
+        _same_as_json(value, pad)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            CHECK_ROWS,
+            [CHECK_ROWS[0], {**CHECK_ROWS[1], "achieved": True}],
+            [CHECK_ROWS[0], {**CHECK_ROWS[1], "vertex": _Color.RED}],
+            [CHECK_ROWS[0], {"achieved": 0, "required": 0, "vertex": 3}],
+            [CHECK_ROWS[0], {**CHECK_ROWS[1], "extra": 5}],
+            [CHECK_ROWS[0], {"vertex": 3, "required": 0}],
+            [CHECK_ROWS[0], [1, 2]],
+            [{"%d \"q\" \u00e9": 1}, {"%d \"q\" \u00e9": 2}],
+            [{"a": 1.0}, {"a": 2}],
+        ],
+        ids=["rows", "bool", "intenum", "key-order", "extra-key", "missing-key", "not-a-row",
+             "escaped-key", "float"],
+    )
+    def test_row_lists(self, rows):
+        _same_as_json(rows)
+        _same_as_json({"result": {"per_vertex": rows}})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [float("nan"), float("inf"), float("-inf"), -0.0, 0.1],
+            {"x": float("nan"), "y": [-0.0, {"z": float("inf")}]},
+            {"\u00e9\u4e2d\x00\x1f\"\\\n\t": "\u00fc\ud83d\ude00\x7f\"\\\r"},
+            ["\u2028", "\\n", "a\nb", {"k\n": ["\n"]}],
+            {1: "int", 2.5: "float", None: "none", "s": 1},
+            {True: "bool", False: [0]},
+            {float("nan"): [1], -0.0: {"a": 1}},
+            (1, (2, [3, (4,)]), {"t": ()}),
+            {"t": (1, {"u": (2, 3)})},
+            [],
+            {},
+            [[]],
+            [{}],
+            {"a": [], "b": {}, "c": [[], {}, [[]], [{}]], "d": {"e": {"f": []}}},
+            [[[], [[], [{}]]], {"g": [{}, []]}],
+            [1, True, 2],
+            [10**30, -(10**30), 0],
+            {"s": {3, 4}},
+            [1, {1, 2}],
+            {(1, 2): 1},
+        ],
+    )
+    def test_edge_cases(self, value):
+        _same_as_json(value)
 
 
 class TestSharedParser:

@@ -10,6 +10,7 @@ from dynetid.dual import _reversed_extended
 from dynetid.graph import DiGraph
 from dynetid.model import (
     EntryStatus,
+    ExtendedGraph,
     InvalidModelError,
     ModelSet,
     ValidationReport,
@@ -284,7 +285,37 @@ class TestExtendedGraphProperties:
         )
 
 
+def param_in_by_membership(eg: ExtendedGraph) -> dict[int, frozenset[int]]:
+    """param_in as one graph-membership test per parameterized edge."""
+    param_in: dict[int, list[int]] = {j: [] for j in eg.internal}
+    for i, j in eg.parameterized_edges:
+        if j in param_in and (i, j) in eg.graph.edges:
+            param_in[j].append(i)
+    return {j: frozenset(ins) for j, ins in param_in.items()}
+
+
 class TestParameterizedInNeighbors:
+    def test_intersection_matches_a_membership_test_per_edge(self):
+        for seed in range(300):
+            m = random_model(random.Random(seed), max_vertices=6, max_noise=3, known_share=0.35)
+            eg = build_extended_graph(m)
+            assert eg.param_in == param_in_by_membership(eg), seed
+            rev = _reversed_extended(build_extended_graph(ModelSet.from_edges(m.L, m.modules)))
+            assert rev.param_in == param_in_by_membership(rev), seed
+        # A parameterized edge outside the graph, one into a non-internal
+        # vertex, and a graph edge that is not parameterized.
+        direct = ExtendedGraph(
+            graph=DiGraph.of([1, 2, 3], [(1, 2), (2, 3)]),
+            L=3,
+            noise_vertices=frozenset(),
+            noise_driven=frozenset(),
+            stimulated=frozenset(),
+            parameterized_edges=frozenset({(1, 2), (3, 1), (3, 4)}),
+            p0=0,
+        )
+        assert direct.param_in == {1: frozenset(), 2: frozenset({1}), 3: frozenset()}
+        assert direct.param_in == param_in_by_membership(direct)
+
     def test_stored_sets_match_the_definition(self):
         # The sets ExtendedGraph stores at construction against the
         # definition, on models with noise vertices and known modules, on
