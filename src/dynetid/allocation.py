@@ -32,16 +32,14 @@ class AllocationResult:
 def noise_rooted_filter(c: Covering, eg: ExtendedGraph) -> tuple[Pseudotree, ...]:
     """The trees still needing a designed excitation: those with no root
     the noise channels already stimulate (eg.noise_stimulated)."""
-    # From a list, not a generator: tuple() grows a generator's result from
-    # a 10-slot tuple, so a result of 11-20 items is freed onto a CPython
-    # free list it was not taken from, and those lists fill to their caps.
+    # From a list: CPython grows a generator's tuple from 10 slots, and a
+    # grown tuple, once freed, stays cached by size (design's peak RSS).
     return tuple([t for t in c.trees if not (t.roots & eg.noise_stimulated)])
 
 
 def select_roots(pi_s: tuple[Pseudotree, ...]) -> tuple[int, ...]:
     """One root per tree; multi-root trees contribute their lowest id."""
-    # From a list, as in noise_rooted_filter.
-    return tuple([min(t.roots) for t in pi_s])
+    return tuple([min(t.roots) for t in pi_s])  # from a list, as above
 
 
 def prune(

@@ -3,11 +3,9 @@
 Reports are fully deterministic: no timestamps, no absolute paths, stable
 key order, so repeated runs on the same input are byte-identical. All
 diagnostics go to stderr; the report goes to stdout or --out. A JSON
-report is exactly json.dumps(report, indent=2) plus a newline. Before
-Python 3.13, json.dumps runs its pure-Python encoder whenever an indent is
-given, so _emit writes the same bytes through _indented instead; from 3.13
-json's C encoder handles the indent and is the faster one, so _emit picks
-json.dumps there, once, at import.
+report is exactly json.dumps(report, indent=2) plus a newline, written
+by _indented in one pass (before Python 3.13, json.dumps runs its
+pure-Python encoder whenever an indent is given).
 
 main loads the model, runs the command and builds the report envelope
 ({"command", "input_digest", "result"}) in one place; every error exit is
@@ -107,8 +105,6 @@ def _indented(value: Any, pad: str = "\n") -> str:
     inner = pad + "  "
     sep = "," + inner
     if kind is list and value:
-        if all(type(x) is int for x in value):
-            return f"[{inner}{sep.join(map(int.__repr__, value))}{pad}]"
         first = value[0]
         if type(first) is dict and first and all(type(k) is str for k in first):
             keys = tuple(first)
@@ -129,14 +125,9 @@ def _indented(value: Any, pad: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", pad)
 
 
-_encode = (
-    functools.partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _indented
-)
-
-
 def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = _encode(report) + "\n"
+        text = _indented(report) + "\n"
     else:
         text = "\n".join(_render_text(report)) + "\n"
     if args.out:

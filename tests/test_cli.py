@@ -609,11 +609,8 @@ CHECK_ROWS = [
 
 
 class TestIndentedWriter:
-    """cli._indented against json.dumps(indent=2), on every Python version,
-    whichever encoder _emit uses there."""
-
-    def test_emit_uses_json_from_python_3_13(self):
-        assert (cli._encode is cli._indented) == (sys.version_info < (3, 13))
+    """cli._indented, which _emit writes every JSON report through, against
+    json.dumps(indent=2)."""
 
     @settings(max_examples=500, deadline=None)
     @given(_JSONISH, st.sampled_from(["\n", "\n    "]))
