@@ -1,13 +1,14 @@
 """Finite simple directed graphs over integer vertex ids.
 
 Vertices are arbitrary positive integers; nothing requires them to be
-contiguous. Graphs are immutable after construction and every operation is a
-pure function, so values can be shared freely. The one mutable thing a
-graph holds is its flow kernel, _SplitGraph, which max_vertex_disjoint_paths
-builds on first use and keeps with its caches; no result, comparison, hash
-or repr can observe it. Counting paths on one graph from two threads at
-once is not supported. All iteration is in ascending id order to keep
-downstream reports deterministic.
+contiguous. A graph holds its vertex set and its edge set, and neighbour
+queries scan the edges. Graphs are immutable after construction and every
+operation is a pure function, so values can be shared freely. The one other
+thing a graph holds, and the one mutable thing, is its flow kernel,
+_SplitGraph, which max_vertex_disjoint_paths builds on first use and keeps
+with its caches; no result, comparison, hash or repr can observe it.
+Counting paths on one graph from two threads at once is not supported. All
+iteration is in ascending id order to keep downstream reports deterministic.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class DiGraph:
-    """A simple digraph: no self-loops, at most one edge per ordered pair."""
+    """A simple digraph: no self-loops, at most one edge per ordered pair.
+
+    It holds its two sets and, after its first path count, its flow kernel.
+    """
 
     vertices: frozenset[int]
     edges: frozenset[Edge]
-    _succ: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
-    _pred: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
     _kernel: _SplitGraph | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
@@ -39,17 +37,11 @@ class DiGraph:
         for v in self.vertices:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"vertex ids must be positive integers, got {v!r}")
-        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
-        pred: dict[int, list[int]] = {v: [] for v in self.vertices}
         for tail, head in self.edges:
             if tail == head:
                 raise ValueError(f"self-loop at vertex {tail} is not allowed")
             if tail not in self.vertices or head not in self.vertices:
                 raise ValueError(f"edge ({tail}, {head}) has an endpoint outside the vertex set")
-            succ[tail].append(head)
-            pred[head].append(tail)
-        object.__setattr__(self, "_succ", {v: tuple(sorted(ns)) for v, ns in succ.items()})
-        object.__setattr__(self, "_pred", {v: tuple(sorted(ns)) for v, ns in pred.items()})
 
     @classmethod
     def of(cls, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> DiGraph:
@@ -60,12 +52,14 @@ class DiGraph:
             raise ValueError(f"vertex {v} is not in the graph")
 
     def out_neighbors(self, v: int) -> frozenset[int]:
+        """Heads of v's out-edges, by a scan of every edge: O(|E|)."""
         self._require(v)
-        return frozenset(self._succ[v])
+        return frozenset(h for t, h in self.edges if t == v)
 
     def in_neighbors(self, v: int) -> frozenset[int]:
+        """Tails of v's in-edges, by a scan of every edge: O(|E|)."""
         self._require(v)
-        return frozenset(self._pred[v])
+        return frozenset(t for t, h in self.edges if h == v)
 
     def sorted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertices))
@@ -79,8 +73,8 @@ def sources_and_sinks(g: DiGraph) -> tuple[frozenset[int], frozenset[int]]:
 
     An isolated vertex appears in both sets.
     """
-    sources = frozenset(v for v in g.vertices if not g._pred[v])
-    sinks = frozenset(v for v in g.vertices if not g._succ[v])
+    sources = g.vertices - {h for _, h in g.edges}
+    sinks = g.vertices - {t for t, _ in g.edges}
     return sources, sinks
 
 
@@ -94,9 +88,11 @@ class _SplitGraph:
 
     Vertex i in sorted-id order is node 2i (in) and node 2i + 1 (out). Arc k
     runs to head[k], and arc k ^ 1 is its reverse. The even arcs are the real
-    ones, each of capacity one: v_in -> v_out for every vertex and
-    t_out -> h_in for every edge. The odd arcs are their residual partners,
-    of capacity zero. Every count leaves the capacities as it found them.
+    ones, each of capacity one: v_in -> v_out for every vertex, then
+    t_out -> h_in for every edge in ascending (t, h) order, which fixes the
+    order of every forest, walk and search. The odd arcs are their residual
+    partners, of capacity zero. Every count leaves the capacities as it
+    found them.
 
     forest is a breadth-first forest over the real arcs from the in-nodes of
     forest_src, the last source set counted: forest[b] is the arc that
@@ -116,7 +112,7 @@ class _SplitGraph:
         self.order = tuple(sorted(g.vertices))
         self.index = index = {v: i for i, v in enumerate(self.order)}
         pairs = [(2 * i, 2 * i + 1) for i in range(len(self.index))]
-        pairs += [(2 * index[t] + 1, 2 * index[h]) for t in self.order for h in g._succ[t]]
+        pairs += [(2 * index[t] + 1, 2 * index[h]) for t, h in sorted(g.edges)]
         arcs: list[list[int]] = [[] for _ in range(2 * len(self.index))]
         head: list[int] = []
         for a, b in pairs:

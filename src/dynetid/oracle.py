@@ -94,6 +94,9 @@ def brute_disjoint_paths(
     if not srcs or not tgts:
         return 0
 
+    succ: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for t, h in sorted(g.edges):
+        succ[t].append(h)
     meter = _Meter(budget.max_nodes_explored)
     found: set[frozenset[int]] = set()
 
@@ -101,7 +104,7 @@ def brute_disjoint_paths(
         meter.spend()
         if v in tgts:
             found.add(frozenset(seen))
-        for w in sorted(g.out_neighbors(v)):
+        for w in succ[v]:
             if w not in seen:
                 seen.add(w)
                 yield extend(w, seen)

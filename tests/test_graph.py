@@ -33,6 +33,21 @@ def diamond() -> DiGraph:
     return DiGraph.of([1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4)])
 
 
+def _random_graphs(count: int = 150):
+    """Seeded random graphs on sparse ids, so that the vertex set's
+    iteration order is not sorted, most with one to three isolated vertices
+    added, each followed by its reverse."""
+    for seed in range(count):
+        rng = random.Random(f"sparse/{seed}")
+        g = random_digraph(rng, max_vertices=10, max_edges=30)
+        ids = rng.sample(range(1, 10**6), len(g.vertices) + 3)
+        relabel = dict(zip(sorted(g.vertices), ids))
+        isolated = ids[len(g.vertices) : len(g.vertices) + rng.randint(0, 3)]
+        g = DiGraph.of([*relabel.values(), *isolated], ((relabel[t], relabel[h]) for t, h in g.edges))
+        yield g
+        yield reverse(g)
+
+
 class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -76,6 +91,21 @@ class TestNeighborhoods:
         with pytest.raises(ValueError, match="not in the graph"):
             diamond().out_neighbors(9)
 
+    def test_random_graphs_match_the_edge_set(self):
+        # Each neighbourhood is what a membership test over every vertex
+        # pair finds in the edge set, and together they name each edge once.
+        isolated = 0
+        for g in _random_graphs():
+            outs = {v: g.out_neighbors(v) for v in g.vertices}
+            ins = {v: g.in_neighbors(v) for v in g.vertices}
+            for v in g.vertices:
+                assert outs[v] == {h for h in g.vertices if (v, h) in g.edges}
+                assert ins[v] == {t for t in g.vertices if (t, v) in g.edges}
+                isolated += not outs[v] and not ins[v]
+            assert {(v, h) for v in g.vertices for h in outs[v]} == g.edges
+            assert {(t, v) for v in g.vertices for t in ins[v]} == g.edges
+        assert isolated >= 100, isolated
+
 
 class TestSourcesAndSinks:
     def test_chain(self):
@@ -91,6 +121,17 @@ class TestSourcesAndSinks:
     def test_cycle_has_neither(self):
         g = DiGraph.of([1, 2], [(1, 2), (2, 1)])
         assert sources_and_sinks(g) == (frozenset(), frozenset())
+
+    def test_random_graphs_match_the_edge_set(self):
+        # A source heads no edge and a sink tails none; an isolated vertex
+        # is both.
+        both = 0
+        for g in _random_graphs():
+            sources, sinks = sources_and_sinks(g)
+            assert sources == {v for v in g.vertices if all(h != v for _, h in g.edges)}
+            assert sinks == {v for v in g.vertices if all(t != v for t, _ in g.edges)}
+            both += len(sources & sinks)
+        assert both >= 100, both
 
 
 class TestReverse:
@@ -185,9 +226,9 @@ class TestSplitGraphLayout:
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_random_graphs_keep_the_sorted_edge_layout(self, seed):
-        # The edge arcs are laid out from the per-vertex sorted successor
-        # lists; that must be the arc numbering sorting every edge gave.
-        # Sparse ids keep the vertex set's iteration order from being sorted.
+        # The arc numbering is the one _former_layout gives from the sorted
+        # edges. Sparse ids keep the vertex set's iteration order from being
+        # sorted.
         rng = random.Random(seed)
         g = random_digraph(rng, max_vertices=15, max_edges=60)
         ids = dict(zip(sorted(g.vertices), rng.sample(range(1, 10**6), len(g.vertices))))
@@ -200,6 +241,23 @@ class TestSplitGraphLayout:
         for h in (g, reverse(g)):
             kernel = _SplitGraph(h)
             assert (kernel.head, kernel.arcs) == _former_layout(h)
+
+    def test_edge_arcs_run_in_ascending_edge_order(self):
+        # Read off the arrays themselves, whatever the graph stores: arc 2i
+        # is vertex i's own arc, and the edge arcs after them run in
+        # ascending (tail, head) order. Forests, walks and searches follow
+        # this order, and with them the start lists reports are built from.
+        model = build_extended_graph(random_sparse_model(random.Random(200), 200)).graph
+        for g in [*_random_graphs(), model, reverse(model)]:
+            kernel = _SplitGraph(g)
+            head, order, n = kernel.head, kernel.order, len(g.vertices)
+            assert order == g.sorted_vertices()
+            assert [(head[k ^ 1], head[k]) for k in range(0, 2 * n, 2)] == [
+                (2 * i, 2 * i + 1) for i in range(n)
+            ]
+            assert [
+                (order[head[k ^ 1] >> 1], order[head[k] >> 1]) for k in range(2 * n, len(head), 2)
+            ] == sorted(g.edges)
 
 
 def _counted(g: DiGraph, sources, targets) -> tuple[list[int], bool]:
@@ -270,12 +328,16 @@ class TestFlowKernelAgainstReference:
 
 
 def _reach(g: DiGraph, sources) -> set[int]:
+    succ: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for t, h in g.edges:
+        succ[t].append(h)
     seen = set(sources)
     queue = list(seen)
     for a in queue:
-        for b in g.out_neighbors(a) - seen:
-            seen.add(b)
-            queue.append(b)
+        for b in succ[a]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
     return seen
 
 
@@ -293,7 +355,8 @@ def _prune_runs(rng: random.Random, g: DiGraph):
     meet new source sets."""
     vs = g.sorted_vertices()
     pool = rng.sample(vs, 8)
-    sinks = [v for v in vs if not g.out_neighbors(v)]
+    tails = {t for t, _ in g.edges}
+    sinks = [v for v in vs if v not in tails]
     a = frozenset(rng.sample(vs, 3))
     b = frozenset(rng.sample(vs, len(vs) // 2))
     swapped = sorted(a)[1:] + [rng.choice([v for v in vs if v not in a])]
