@@ -1,21 +1,22 @@
 """Excitation signal allocation.
 
 One pipeline, allocate, serves both selections: cover the parameterized
-edges with disjoint pseudotrees, drop the trees already rooted in a
-noise-stimulated vertex, excite one root of each remaining tree, then
-greedily prune roots whose removal keeps the path condition intact on the
-tree's own vertices. The greedy step validates only the tree at hand, so a
-removal can in principle invalidate a tree cleared earlier; a full final
-verification with rollback keeps the result sound regardless. Both tests
-evaluate the path condition through identifiability.path_condition_holds.
-The measurement dual runs allocate on the reversed graph.
+edges with disjoint pseudotrees (algorithm1_merge), drop the trees already
+rooted in a noise-stimulated vertex (noise_rooted_filter), then prune:
+excite one root of each remaining tree (select_roots) and greedily drop
+the roots whose removal keeps the path condition intact on the tree's own
+vertices. Each trial validates only the tree at hand, through
+identifiability.path_condition_holds, so a removal can in principle
+invalidate a tree cleared earlier; a full final verification with rollback,
+each step one identifiability.check_with_excitations, keeps the result
+sound regardless. The measurement dual runs allocate on the reversed graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dynetid.identifiability import excitation_bounds, path_condition_holds
+from dynetid.identifiability import check_with_excitations, excitation_bounds, path_condition_holds
 from dynetid.model import ExtendedGraph
 from dynetid.pseudotree import Covering, Pseudotree, algorithm1_merge
 
@@ -43,19 +44,18 @@ def select_roots(pi_s: tuple[Pseudotree, ...]) -> tuple[int, ...]:
 
 
 def prune(
-    eg: ExtendedGraph,
-    pi_s: tuple[Pseudotree, ...],
-    r0: tuple[int, ...],
-    covering_used: Covering,
+    eg: ExtendedGraph, pi_s: tuple[Pseudotree, ...], covering_used: Covering
 ) -> AllocationResult:
-    """allocate's last step: drop removable roots, then verify the
-    survivors and roll back if needed.
+    """allocate's last step: excite one root of each tree in pi_s, drop the
+    removable ones, then verify the survivors and roll back if needed.
 
-    r0[k] is the root chosen for pi_s[k]. A root is removable when, without
-    it, the stimulated set still supports a full set of disjoint paths into
-    every in-neighborhood inside its own tree. The final verification
-    re-checks every internal vertex; on failure the most recent removals are
-    restored one at a time until it passes or none is left. covering_used
+    Each tree's root comes from select_roots(pi_s). A root is removable
+    when, without it, the stimulated set still supports a full set of
+    disjoint paths into every in-neighborhood inside its own tree, as
+    path_condition_holds decides. The final verification is
+    check_with_excitations on the survivors; on failure the most recent
+    removals are restored one at a time, each followed by another
+    check_with_excitations, until it passes or none is left. covering_used
     is the covering pi_s came from, carried into the result along with
     excitation_bounds(eg, covering_used).
 
@@ -63,23 +63,19 @@ def prune(
     the flow kernel's memo (graph._SplitGraph) recounts a vertex only when
     a removal took a start of its last full path family.
     """
-    active = set(r0)
+    roots = select_roots(pi_s)
+    active = set(roots)
     pruned: list[int] = []
-    for k, tree in enumerate(pi_s):
-        tau = r0[k]
+    for tau, tree in zip(roots, pi_s):
         trial = frozenset(active - {tau}) | eg.noise_stimulated
         if path_condition_holds(eg, trial, tree.vertices & eg.internal):
             active.discard(tau)
             pruned.append(tau)
 
-    def verify() -> bool:
-        stimulated = frozenset(active) | eg.noise_stimulated
-        return path_condition_holds(eg, stimulated, eg.internal)
-
-    verified = verify()
+    verified = check_with_excitations(eg, active).identifiable
     while not verified and pruned:
         active.add(pruned.pop())
-        verified = verify()
+        verified = check_with_excitations(eg, active).identifiable
 
     return AllocationResult(
         excited=tuple(sorted(active)),
@@ -94,8 +90,9 @@ def allocate(eg: ExtendedGraph) -> AllocationResult:
     """Design an excitation set on a model's extended graph.
 
     The model's own excitation pattern is ignored: this designs one from
-    scratch, in four steps: algorithm1_merge, noise_rooted_filter,
-    select_roots, prune.
+    scratch, in three steps: algorithm1_merge, noise_rooted_filter, and
+    prune, which excites the roots select_roots picks and drops the ones
+    it can spare.
 
     The unpruned roots always pass the path condition, so prune's rollback
     stops at them at the latest and the result is verified. Let T be the
@@ -114,4 +111,4 @@ def allocate(eg: ExtendedGraph) -> AllocationResult:
     """
     covering, _ = algorithm1_merge(eg)
     pi_s = noise_rooted_filter(covering, eg)
-    return prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
+    return prune(eg, pi_s, covering_used=covering)

@@ -35,9 +35,12 @@ class DiGraph:
 
     def __post_init__(self) -> None:
         for v in self.vertices:
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"vertex ids must be positive integers, got {v!r}")
         for tail, head in self.edges:
+            if isinstance(tail, bool) or isinstance(head, bool):
+                bad = tail if isinstance(tail, bool) else head
+                raise ValueError(f"vertex ids must be positive integers, got {bad!r}")
             if tail == head:
                 raise ValueError(f"self-loop at vertex {tail} is not allowed")
             if tail not in self.vertices or head not in self.vertices:

@@ -5,9 +5,12 @@ identifiable exactly when, for every internal vertex j, the maximum number
 of vertex-disjoint paths from the stimulated set to j's parameterized
 in-neighborhood equals that in-neighborhood's size. Two functions evaluate
 it. vertex_checks counts the paths at every vertex asked about; the reports
-here and the CLI's oracle comparison read it. path_condition_holds, which
-allocation's prune calls, answers only whether every vertex asked about
-passes.
+here and the CLI's oracle comparison read it. Of the reports,
+check_generic_identifiability takes the model's own stimulated set and
+check_with_excitations a trial one; allocation's prune verifies its result
+and each rollback step with the latter. path_condition_holds, which prune's
+per-tree trials call, answers only whether every vertex asked about passes
+and stops at the first failure.
 """
 
 from __future__ import annotations

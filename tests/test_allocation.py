@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynetid import allocation
 from dynetid.allocation import allocate, noise_rooted_filter, prune, select_roots
 from dynetid.dual import _reversed_extended, select_measurements
 from dynetid.identifiability import check_with_excitations, excitation_bounds
@@ -95,8 +96,7 @@ class TestPrune:
         eg = build_extended_graph(diamond())
         covering, _ = algorithm1_merge(eg)
         pi_s = noise_rooted_filter(covering, eg)
-        r0 = select_roots(pi_s)
-        result = prune(eg, pi_s, r0, covering_used=covering)
+        result = prune(eg, pi_s, covering_used=covering)
         assert result.excited == (1, 3)
         assert result.pruned == ()
         assert result.verified
@@ -107,7 +107,7 @@ class TestPrune:
         eg = build_extended_graph(doubly_noise_covered())
         pi_s = (Pseudotree.from_edges([(1, 2)]),)
         covering = Covering(trees=pi_s, host=eg.graph, target_edges=eg.parameterized_edges)
-        result = prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
+        result = prune(eg, pi_s, covering_used=covering)
         assert result.excited == ()
         assert result.pruned == (1,)
         assert result.verified
@@ -116,7 +116,7 @@ class TestPrune:
         eg = build_extended_graph(correlated_noise_model())
         covering, _ = algorithm1_merge(eg)
         pi_s = noise_rooted_filter(covering, eg)
-        result = prune(eg, pi_s, select_roots(pi_s), covering_used=covering)
+        result = prune(eg, pi_s, covering_used=covering)
         assert result.excited == (5,)
         assert result.pruned == ()
         assert result.verified
@@ -224,8 +224,11 @@ class TestPruneAgainstReference:
 
     @pytest.fixture
     def rollbacks(self, monkeypatch):
-        """Counts the reference's rollback steps: every verification after
-        the first in one prune call."""
+        """Runs one pipeline on one graph and counts its rollback steps:
+        every verification after the first in its prune call. A step is a
+        check_with_excitations call, counted in the reference and in the
+        library alike, so equal counts pin the library to one call per
+        verification, the calls the traced benchmark counts."""
         steps = [0]
 
         def counting(eg, trial):
@@ -233,36 +236,37 @@ class TestPruneAgainstReference:
             return check_with_excitations(eg, trial)
 
         monkeypatch.setattr(pruneref, "check_with_excitations", counting)
+        monkeypatch.setattr(allocation, "check_with_excitations", counting)
 
-        def reference(eg):
+        def run(pipeline, eg):
             before = steps[0]
-            result = pruneref.allocate(eg)
+            result = pipeline(eg)
             return result, steps[0] - before - 1
 
-        return reference
+        return run
 
     def test_random_models_match(self, rollbacks):
         rolled = []
         for seed in range(2000):
             m = random_model(random.Random(seed))
-            want, steps = rollbacks(build_extended_graph(m))
-            assert allocate(build_extended_graph(m)) == want, seed
-            rolled += [seed] * steps
+            want = rollbacks(pruneref.allocate, build_extended_graph(m))
+            assert rollbacks(allocate, build_extended_graph(m)) == want, seed
+            rolled += [seed] * want[1]
             dual = build_extended_graph(ModelSet.from_edges(m.L, m.modules))
-            want, steps = rollbacks(_reversed_extended(dual))
-            assert select_measurements(dual) == want, seed
-            rolled += [seed] * steps
+            want = rollbacks(pruneref.allocate, _reversed_extended(dual))
+            assert rollbacks(select_measurements, dual) == want, seed
+            rolled += [seed] * want[1]
         assert rolled, "no model in the sample rolls back"
 
     def test_sparse_models_match(self, rollbacks):
         rolled = []
         for L in (50, 100, 200, 400):
             m = random_sparse_model(random.Random(L), L)
-            want, steps = rollbacks(build_extended_graph(m))
+            want = rollbacks(pruneref.allocate, build_extended_graph(m))
             eg = build_extended_graph(m)
-            assert allocate(eg) == want, L
-            rolled += [L] * steps
-            want, steps = rollbacks(_reversed_extended(eg))
-            assert select_measurements(eg) == want, L
-            rolled += [L] * steps
+            assert rollbacks(allocate, eg) == want, L
+            rolled += [L] * want[1]
+            want = rollbacks(pruneref.allocate, _reversed_extended(eg))
+            assert rollbacks(select_measurements, eg) == want, L
+            rolled += [L] * want[1]
         assert rolled, "no model in the sample rolls back"

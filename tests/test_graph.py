@@ -60,6 +60,11 @@ class TestConstruction:
     def test_vertex_ids_positive(self):
         with pytest.raises(ValueError):
             DiGraph.of([0, 1])
+        # True == 1 and hashes alike, so a bool id would pass for vertex 1
+        with pytest.raises(ValueError, match="got True"):
+            DiGraph.of([True, 2, 3], [(True, 2), (2, 3)])
+        with pytest.raises(ValueError, match="got True"):
+            DiGraph.of([1, 2, 3], [(True, 2), (2, 3)])
 
     def test_value_semantics(self):
         assert diamond() == diamond()
