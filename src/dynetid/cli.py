@@ -300,28 +300,32 @@ def _cmd_oracle_compare(eg: ExtendedGraph, args: argparse.Namespace) -> tuple[di
     return result, EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "cover": _cmd_cover,
-    "allocate": _cmd_allocate,
-    "allocate-measurements": _cmd_allocate_measurements,
-    "bounds": _cmd_bounds,
-    "oracle-compare": _cmd_oracle_compare,
+# Every subcommand in --help order: its handler and its help line.
+_COMMANDS = {
+    "validate": (None, "check the structural rules"),
+    "check": (_cmd_check, "decide generic identifiability"),
+    "cover": (_cmd_cover, "compute a disjoint pseudotree covering"),
+    "allocate": (_cmd_allocate, "choose excitation vertices"),
+    "allocate-measurements": (_cmd_allocate_measurements, "choose measured vertices (p = 0)"),
+    "bounds": (_cmd_bounds, "report excitation count bounds"),
+    "oracle-compare": (_cmd_oracle_compare, "cross-check against brute force"),
 }
 
 
 def _run(args: argparse.Namespace, m: ModelSet) -> tuple[dict, int]:
     """Validate the model once, then run the command on it.
 
-    validate reads only the rules, so it never builds the extended graph.
-    Any other command that meets an invalid model, including one outside
-    the measurement-selection setting, reports the violations instead.
+    validate reads only the rules, so it has no handler and never builds
+    the extended graph. Any other command that meets an invalid model,
+    including one outside the measurement-selection setting, reports the
+    violations instead.
     """
-    if args.command == "validate":
-        violations = validate(m).violations
+    handler = _COMMANDS[args.command][0]
+    if handler is None:
+        violations = validate(m)
     else:
         try:
-            return _HANDLERS[args.command](build_extended_graph(m), args)
+            return handler(build_extended_graph(m), args)
         except InvalidModelError as exc:
             violations = exc.violations
     return {"ok": not violations, "violations": list(violations)}, (
@@ -339,23 +343,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Identifiability analysis and signal allocation for dynamic networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a model JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    common(sub.add_parser("validate", help="check the structural rules"))
-    common(sub.add_parser("check", help="decide generic identifiability"))
-    cover = sub.add_parser("cover", help="compute a disjoint pseudotree covering")
-    common(cover)
-    cover.add_argument("--emit-dot", default=None, help="also write a colored DOT file")
-    common(sub.add_parser("allocate", help="choose excitation vertices"))
-    common(sub.add_parser("allocate-measurements", help="choose measured vertices (p = 0)"))
-    common(sub.add_parser("bounds", help="report excitation count bounds"))
-    oracle = sub.add_parser("oracle-compare", help="cross-check against brute force")
-    common(oracle)
-    oracle.add_argument("--budget", type=int, default=7, help="max vertices for the oracle")
+        if name == "cover":
+            p.add_argument("--emit-dot", default=None, help="also write a colored DOT file")
+        elif name == "oracle-compare":
+            p.add_argument("--budget", type=int, default=7, help="max vertices for the oracle")
     return parser
 
 

@@ -67,9 +67,6 @@ class DiGraph:
     def sorted_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertices))
 
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
 
 def sources_and_sinks(g: DiGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Vertices without in-edges, and vertices without out-edges.

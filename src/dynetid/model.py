@@ -93,10 +93,6 @@ class ModelSet:
     def p(self) -> int:
         return len(self.noise)
 
-    def g_status(self, tail: int, head: int) -> EntryStatus:
-        """Status of the module on edge (tail, head)."""
-        return self.modules.get((tail, head), Z)
-
     def internal_edges(self) -> frozenset[Edge]:
         return frozenset(self.modules)
 
@@ -138,12 +134,6 @@ class ModelSet:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
 def _parameterized_columns(m: ModelSet) -> list[int]:
     """0-based indices of noise columns whose nonzeros are all parameterized."""
     return [
@@ -163,8 +153,10 @@ def _single_known_columns(m: ModelSet) -> list[tuple[int, int]]:
     ]
 
 
-def validate(m: ModelSet) -> ValidationReport:
+def validate(m: ModelSet) -> tuple[str, ...]:
     """Check the structural rules a model must satisfy.
+
+    Returns one message per violation, in a fixed order; empty means valid.
 
     Rules: no self-loop modules; noise rows and columns with two or more
     nonzeros must be entirely parameterized; every noise column must drive at
@@ -218,7 +210,7 @@ def validate(m: ModelSet) -> ValidationReport:
         if _has_cycle(feed):
             violations.append("feedthrough subgraph contains a cycle (algebraic loop)")
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def _has_cycle(edges: Iterable[Edge]) -> bool:
@@ -297,9 +289,9 @@ class ExtendedGraph:
 
 def build_extended_graph(m: ModelSet) -> ExtendedGraph:
     """Construct the extended graph of a model; InvalidModelError if invalid."""
-    report = validate(m)
-    if not report.ok:
-        raise InvalidModelError(report.violations)
+    violations = validate(m)
+    if violations:
+        raise InvalidModelError(violations)
 
     # Parameterized columns are compacted in their original order before
     # vertex ids are assigned, so gaps left by single-known columns vanish.

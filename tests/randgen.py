@@ -85,7 +85,7 @@ def random_model(
             m = ModelSet.from_edges(n, edges, noise_columns=columns, excited=excited)
         except Exception:
             continue
-        if validate(m).ok:
+        if not validate(m):
             return m
     raise RuntimeError("no valid model found")
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report payloads, DOT export."""
 
+import argparse
 import enum
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dynetid
 import dynetid.cli as cli
 import dynetid.dual
 import dynetid.model
@@ -691,6 +693,38 @@ class TestSharedParser:
         path = write_model(tmp_path, diamond_model())
         assert run(capsys, ["oracle-compare", path, "--budget", "3"])[0] == 5
         assert run(capsys, ["oracle-compare", path])[0] == 0
+
+
+_COMMON = ("-h", "--help", "model", "--format", "--out")
+
+
+class TestCommandTable:
+    """The parser is built from one command table; this pins what it
+    declares, so no command or flag can drop out or move."""
+
+    def test_subcommands_help_and_options(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+        def options(name):
+            return tuple(s for a in sub.choices[name]._actions for s in a.option_strings or [a.dest])
+
+        declared = [(a.dest, a.help, options(a.dest)) for a in sub._choices_actions]
+        assert declared == [
+            ("validate", "check the structural rules", _COMMON),
+            ("check", "decide generic identifiability", _COMMON),
+            ("cover", "compute a disjoint pseudotree covering", _COMMON + ("--emit-dot",)),
+            ("allocate", "choose excitation vertices", _COMMON),
+            ("allocate-measurements", "choose measured vertices (p = 0)", _COMMON),
+            ("bounds", "report excitation count bounds", _COMMON),
+            ("oracle-compare", "cross-check against brute force", _COMMON + ("--budget",)),
+        ]
+        assert list(sub.choices) == [name for name, _, _ in declared]
+
+    def test_package_exports_resolve(self):
+        assert len(set(dynetid.__all__)) == len(dynetid.__all__)
+        for name in dynetid.__all__:
+            assert getattr(dynetid, name) is not None, name
 
 
 class TestValidationCount:

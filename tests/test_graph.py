@@ -73,7 +73,7 @@ class TestConstruction:
     def test_sorted_accessors(self):
         g = DiGraph.of([3, 1, 2], [(3, 1), (1, 2)])
         assert g.sorted_vertices() == (1, 2, 3)
-        assert g.sorted_edges() == ((1, 2), (3, 1))
+        assert g.edges == {(1, 2), (3, 1)}
 
 
 class TestNeighborhoods:

@@ -6,20 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynetid.dual import _reversed_extended
+from dynetid.dual import (
+    InvalidDualModelError,
+    _reversed_extended,
+    select_measurements,
+    validate_dual,
+)
 from dynetid.graph import DiGraph
 from dynetid.model import (
     EntryStatus,
     ExtendedGraph,
     InvalidModelError,
     ModelSet,
-    ValidationReport,
     build_extended_graph,
     extended_in_neighbors,
     validate,
 )
 
-from .randgen import random_model
+from .randgen import _random_noise_columns, _random_pattern, random_model
 
 Z, P, K = EntryStatus.ZERO, EntryStatus.PARAMETERIZED, EntryStatus.KNOWN
 
@@ -77,8 +81,8 @@ class TestConstruction:
 
     def test_g_status_is_tail_head(self):
         m = ModelSet.from_edges(2, [(1, 2, K)])
-        assert m.g_status(1, 2) is K
-        assert m.g_status(2, 1) is Z
+        assert m.modules.get((1, 2), Z) is K
+        assert m.modules.get((2, 1), Z) is Z
 
     def test_internal_edges_include_known(self):
         m = ModelSet.from_edges(3, [(1, 2, P), (2, 3, K)])
@@ -87,53 +91,53 @@ class TestConstruction:
 
 class TestValidate:
     def test_fixture_passes(self):
-        assert validate(correlated_noise_model()).ok
+        assert validate(correlated_noise_model()) == ()
 
     def test_self_loop_module(self):
         m = ModelSet.from_edges(2, [(1, 1)])
-        report = validate(m)
-        assert not report.ok
-        assert any("self-loop module" in v for v in report.violations)
+        violations = validate(m)
+        assert violations
+        assert any("self-loop module" in v for v in violations)
 
     def test_mixed_column_rejected(self):
         m = ModelSet.from_edges(
             3, [(1, 2)], noise_columns=[[(1, K), (2, P)]]
         )
-        report = validate(m)
-        assert not report.ok
-        assert any("column 1" in v for v in report.violations)
+        violations = validate(m)
+        assert violations
+        assert any("column 1" in v for v in violations)
 
     def test_mixed_row_rejected(self):
         m = ModelSet.from_edges(
             2, [(1, 2)], noise_columns=[[(1, K)], [(1, P)]]
         )
-        report = validate(m)
-        assert not report.ok
-        assert any("row 1" in v for v in report.violations)
+        violations = validate(m)
+        assert violations
+        assert any("row 1" in v for v in violations)
 
     def test_empty_column_rejected(self):
         m = ModelSet.from_edges(2, noise_columns=[[]])
-        report = validate(m)
-        assert any("drives no vertex" in v for v in report.violations)
+        violations = validate(m)
+        assert any("drives no vertex" in v for v in violations)
 
     def test_single_known_column_is_fine(self):
         m = ModelSet.from_edges(2, [(1, 2)], noise_columns=[[(1, K)]])
-        assert validate(m).ok
+        assert validate(m) == ()
 
     def test_known_driven_vertex_cannot_be_excited(self):
         m = ModelSet.from_edges(
             2, [(1, 2)], noise_columns=[[(1, K)]], excited=[1]
         )
-        report = validate(m)
-        assert not report.ok
-        assert any("excited and also driven" in v for v in report.violations)
+        violations = validate(m)
+        assert violations
+        assert any("excited and also driven" in v for v in violations)
 
     def test_feedthrough_cycle_rejected(self):
         m = ModelSet.from_edges(
             2, [(1, 2), (2, 1)], strictly_proper_modules=False
         )
-        report = validate(m)
-        assert any("algebraic loop" in v for v in report.violations)
+        violations = validate(m)
+        assert any("algebraic loop" in v for v in violations)
 
     def test_feedthrough_subset_can_break_the_cycle(self):
         m = ModelSet.from_edges(
@@ -142,7 +146,7 @@ class TestValidate:
             strictly_proper_modules=False,
             feedthrough_edges=[(1, 2)],
         )
-        assert validate(m).ok
+        assert validate(m) == ()
 
     def test_feedthrough_edge_must_be_a_module(self):
         m = ModelSet.from_edges(
@@ -151,26 +155,88 @@ class TestValidate:
             strictly_proper_modules=False,
             feedthrough_edges=[(2, 1)],
         )
-        report = validate(m)
-        assert any("not a nonzero module" in v for v in report.violations)
+        violations = validate(m)
+        assert any("not a nonzero module" in v for v in violations)
 
     def test_deep_feedthrough_chain_is_acyclic(self):
         L = 3000
         chain = [(v, v + 1) for v in range(1, L)]
         m = ModelSet.from_edges(L, chain, strictly_proper_modules=False)
-        assert validate(m) == ValidationReport(ok=True, violations=())
+        assert validate(m) == ()
 
     def test_deep_feedthrough_loop_is_reported(self):
         L = 3000
         loop = [(v, v + 1) for v in range(1, L)] + [(L, 1)]
         m = ModelSet.from_edges(L, loop, strictly_proper_modules=False)
-        assert validate(m).violations == (
+        assert validate(m) == (
             "feedthrough subgraph contains a cycle (algebraic loop)",
         )
 
     def test_strictly_proper_ignores_cycles(self):
         m = ModelSet.from_edges(2, [(1, 2), (2, 1)])
-        assert validate(m).ok
+        assert validate(m) == ()
+
+
+def planted_model(seed: int) -> tuple[ModelSet, str | None]:
+    """A seeded model and the violation planted in it, if any.
+
+    Seeds cycle through no plant, a self-loop, a known entry in a shared
+    noise row and a feedthrough cycle. The random pattern around the plant
+    may break further rules, or the measurement setting, on its own.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    edges = _random_pattern(rng, n, known_share=rng.choice([0.0, 0.3]))
+    columns = _random_noise_columns(rng, n, rng.randint(0, 2))
+    excited = rng.sample(range(1, n + 1), rng.randint(0, 2))
+    kind, planted, proper = seed % 4, None, True
+    if kind == 1:
+        v = rng.randint(1, n)
+        edges.append((v, v, P))
+        planted = f"self-loop module at vertex {v}"
+    elif kind == 2:
+        row = rng.randint(1, n)
+        columns += [[(row, K)], [(row, P)]]
+        planted = f"noise row {row} mixes a known entry with other nonzeros"
+    elif kind == 3:
+        a, b = rng.sample(range(1, n + 1), 2)
+        edges += [(a, b, P), (b, a, P)]
+        planted, proper = "feedthrough subgraph contains a cycle (algebraic loop)", False
+    m = ModelSet.from_edges(
+        n, edges, noise_columns=columns, excited=excited, strictly_proper_modules=proper
+    )
+    return m, planted
+
+
+class TestVerdictContract:
+    """Each verdict is a tuple of violations that is empty exactly when its
+    gate passes, and a failing gate raises with exactly that tuple."""
+
+    def test_seeded_models(self):
+        seen = {"valid": 0, "invalid": 0, "dual": 0, "not dual": 0}
+        for seed in range(200):
+            m, planted = planted_model(seed)
+            violations = validate(m)
+            assert planted is None or planted in violations, seed
+            try:
+                eg = build_extended_graph(m)
+            except InvalidModelError as exc:
+                assert type(exc) is InvalidModelError, seed
+                assert violations and exc.violations == violations, seed
+                seen["invalid"] += 1
+                continue
+            assert violations == (), seed
+            seen["valid"] += 1
+            dual = validate_dual(eg)
+            try:
+                select_measurements(eg)
+            except InvalidDualModelError as exc:
+                assert dual and exc.violations == dual, seed
+                seen["not dual"] += 1
+            else:
+                assert dual == (), seed
+                seen["dual"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestExtendedGraph:

@@ -47,7 +47,7 @@ class TestParsing:
     def test_minimal_document(self):
         m = model_from_json(diamond_doc())
         assert m.L == 4
-        assert m.g_status(1, 2) is P
+        assert m.modules[(1, 2)] is P
         assert m.excited == {1, 3}
         assert m.p == 0
 

@@ -27,7 +27,6 @@ from dynetid.pseudotree import (
     _mergeable_pair,
     _rows,
     algorithm1_merge,
-    are_disjoint,
     char_matrix,
     char_matrix_from_adjacency,
     covering_violations,
@@ -174,21 +173,30 @@ class TestIsPseudotree:
             Pseudotree.from_edges([(1, 2), (3, 2)])
 
 
+def _disjointness(t1: Pseudotree, t2: Pseudotree) -> tuple[str, ...]:
+    """covering_violations of the two trees covering exactly their edges."""
+    edges = t1.edges | t2.edges
+    host = DiGraph.of({v for e in edges for v in e}, edges)
+    return covering_violations(Covering(trees=(t1, t2), host=host, target_edges=edges))
+
+
 class TestAreDisjoint:
+    """Disjointness is the "not disjoint" rule of covering_violations."""
+
     def test_separate_stars(self):
         t1 = Pseudotree.from_edges([(1, 2), (1, 3)])
         t2 = Pseudotree.from_edges([(2, 4)])
-        assert are_disjoint(t1, t2)
+        assert _disjointness(t1, t2) == ()
 
     def test_split_out_edges(self):
         t1 = Pseudotree.from_edges([(1, 2)])
         t2 = Pseudotree.from_edges([(1, 3)])
-        assert not are_disjoint(t1, t2)
+        assert _disjointness(t1, t2) == ("trees 1 and 2 are not disjoint",)
 
     def test_shared_edge(self):
         t1 = Pseudotree.from_edges([(1, 2), (1, 3)])
         t2 = Pseudotree.from_edges([(1, 2)])
-        assert not are_disjoint(t1, t2)
+        assert _disjointness(t1, t2) == ("trees 1 and 2 are not disjoint",)
 
 
 class TestIsMergeable:
