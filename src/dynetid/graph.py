@@ -6,7 +6,10 @@ queries scan the edges. Graphs are immutable after construction and every
 operation is a pure function, so values can be shared freely. The one other
 thing a graph holds, and the one mutable thing, is its flow kernel,
 _SplitGraph, which max_vertex_disjoint_paths builds on first use and keeps
-with its caches; no result, comparison, hash or repr can observe it.
+with its caches; no result, comparison, hash or repr can observe it. A
+count walks its targets up a breadth-first forest cached from its source
+set, then finishes the max-flow by backward searches, each of which stops
+at the first node whose path up that forest is still free.
 Counting paths on one graph from two threads at once is not supported. All
 iteration is in ascending id order to keep downstream reports deterministic.
 """
@@ -176,7 +179,12 @@ class _SplitGraph:
         its in-neighbours, extended by the edge into the target and the
         target's own arc. The walks thus leave a feasible flow, and the
         backward searches finish the max-flow from it, so every count is
-        exact. Which sources the paths start from can depend on the walks
+        exact. Each search hands back one augmenting path from a free root,
+        either reached by the search or joined through a free forest path
+        (see _search), and the loop below augments it from that root. The
+        walks also leave every target they did not serve with a used root
+        or none, which _search relies on. Which sources the paths start
+        from can depend on the walks, on where a search joins the forest
         and on the memo, but it is always the start set of a maximum
         family."""
         memo = self.memo
@@ -260,28 +268,61 @@ class _SplitGraph:
         self, forest: list[int], free_tgt: set[int]
     ) -> tuple[int, dict[int, int]] | None:
         """Breadth-first search backward over residual arcs from every free
-        target. Returns the first source reached, a root of forest, with the
-        arc by which each visited node steps toward a target (-1 at the
-        targets). That source is free: a used source's in-node has no
-        residual arc out, since its one real arc carries the path that
-        starts there, so no search reaches it.
+        target, stopped at the first node it discovers whose forest path is
+        free: every arc from the node up to its root free, the root's own
+        arc included, so that root is a free source. A root itself has the
+        empty path and passes when reached, and it is free: a used source's
+        in-node has no residual arc out, since its one real arc carries the
+        path that starts there, so no search reaches it. Returns that root
+        with the arc by which each node steps toward a target (-1 at the
+        targets): the forest path's arcs from the root down to the node,
+        then the search's arcs on to a target, so count augments the joined
+        path from the root as it would a path the search found alone.
+
+        The joined path is simple. Every node on the node's forest path
+        has a prefix of that free path as its own, so it would pass; every
+        node discovered earlier was tested and failed, and the free targets
+        fail too, because count's walks leave each with a used root or
+        none, and a used root stays used. So none of them lies on the
+        forest path, and the search's arcs from the node run through them
+        alone.
+
+        A test walks up the forest until an arc is used or a node is
+        blocked. When it fails, every node it walked is blocked for the rest
+        of the search: each one's forest path runs through the failing
+        spot, and capacities do not change within a search. So no node is
+        walked past twice and a search stays O(V + E), where a walk per node
+        alone would be quadratic on a long chain hanging below a used arc.
 
         The search starts from the targets because they are the small side:
         a path check's targets are one vertex's in-neighbourhood, while its
         sources can be half the graph. It runs only after count's walks, so
         it is left with the targets they would not serve: those the sources
         do not reach, and those whose forest path, and every in-neighbour's,
-        crosses a path already taken."""
+        crosses a path already taken. The forest joins pay most where the
+        sources are few, as in the measurement dual's counts."""
         head, arcs, cap = self.head, self.arcs, self.cap
         via = dict.fromkeys(free_tgt, -1)
+        blocked: set[int] = set()
         queue = list(free_tgt)
         for b in queue:
             for k in arcs[b]:
                 a = head[k]
                 if cap[k ^ 1] and a not in via:
                     via[a] = k ^ 1
-                    if forest[a] == -1:
-                        return a, via
+                    up: list[int] = []
+                    node, j = a, forest[a]
+                    while j >= 0 and cap[j] and node not in blocked:
+                        up.append(j)
+                        node = head[j ^ 1]
+                        j = forest[node]
+                    if j == -1:
+                        for j in up:
+                            via[head[j ^ 1]] = j
+                        return node, via
+                    if up:
+                        blocked.add(a)
+                        blocked.update([head[j ^ 1] for j in up])
                     queue.append(a)
         return None
 

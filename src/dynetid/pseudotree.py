@@ -387,7 +387,9 @@ class _MergeMatrix:
     as its identity. ids lists the live ids in ascending order; a fold
     keeps the order of the surviving trees, so an id's 1-based position in
     the matrix is its rank there. ones counts the Ones of every row that
-    has any.
+    has any. lossy is set once a fold leaves a mergeability triangle below
+    One (see fold), the only way the matrix can drift from the one of_trees
+    would build from the merged covering.
 
     Empty means the two trees share no vertex, which is symmetric, so in a
     matrix built by of_trees row r's keys are also the rows whose column r
@@ -399,6 +401,7 @@ class _MergeMatrix:
         self.rows = rows
         self.ids = sorted(rows)
         self.ones = {r: k for r, row in rows.items() if (k := sum(row.values()))}
+        self.lossy = False
 
     @classmethod
     def of_trees(cls, trees: tuple[Pseudotree, ...]) -> _MergeMatrix:
@@ -454,7 +457,9 @@ class _MergeMatrix:
 
         Only rows i and j and the cells (k, i) and (k, j) move, for the keys
         k of row i, which by symmetric support are all the rows with a
-        non-Empty (k, i).
+        non-Empty (k, i). A k with (k, i) = One and (j, k) = One whose (k, j)
+        or (j, k) the fold leaves below One is a triangle reduce would raise,
+        and it sets lossy.
         """
         rows = self.rows
         ri, rj = rows.pop(i), rows[j]
@@ -469,12 +474,14 @@ class _MergeMatrix:
                 delta += e - bool(old)
             row = rows[k]
             f = row.pop(i)
-            old = row.get(j)
-            if old is None:
+            kj = row.get(j)
+            if kj is None:
                 row[j] = f
-            elif old or f:
-                row[j] = old and f
+            elif kj or f:
+                row[j] = kj and f
                 self._count(k, -1)
+            if f and old and not (e and kj is not False):
+                self.lossy = True
         self._count(j, delta)
 
 
@@ -571,10 +578,14 @@ def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]
     it though: folding tree i into tree j may close a mergeability triangle
     with a third tree, which the entrywise arithmetic maps to Zero (reduce
     adds these back). A pass can therefore end with genuine merges left, so
-    the loop rebuilds the matrix from the covering and only stops after a
-    pass that merges nothing. The loop keeps this conservative fold because
-    the exact one changes the trace on 49 of 2,942 random_model inputs and
-    on 35 of 40 sparse models at L = 30-70 (ROADMAP item 10).
+    the loop rebuilds the matrix from the covering and goes on. It stops
+    after a pass whose folds left no triangle below One: that pass's matrix
+    stayed the exact one of the covering (criterion 7), and it ended with
+    no One, so a rebuilt matrix would hold none either. A pass that merges
+    nothing folds nothing and stops the loop too. The loop keeps this
+    conservative fold because the exact one changes the trace on 49 of
+    2,942 random_model inputs and on 35 of 40 sparse models at L = 30-70
+    (ROADMAP item 10).
 
     Without parameterized edges there is nothing to cover: the result is
     the empty covering and an empty trace.
@@ -584,9 +595,9 @@ def algorithm1_merge(eg: ExtendedGraph) -> tuple[Covering, list[tuple[int, int]]
     c = initial_covering(eg)
     trace: list[tuple[int, int]] = []
     while True:
-        merged = len(trace)
-        for i, j in _merge_steps(_MergeMatrix.of_trees(c.trees)):
+        m = _MergeMatrix.of_trees(c.trees)
+        for i, j in _merge_steps(m):
             c = merge_trees(c, i, j)
             trace.append((i, j))
-        if len(trace) == merged:
+        if not m.lossy:
             return c, trace

@@ -827,3 +827,78 @@ class TestMergeAgainstReference:
         assert len(trace) > len(first_pass)
         assert _dump((covering, trace)) == _dump(reference_merge(eg))
         assert _ones(char_matrix(covering)) == []
+
+
+def _reference_passes(eg) -> int:
+    """mergeref's pass count, the last one empty."""
+    c, passes = initial_covering(eg), 0
+    while True:
+        c, trace = reference_pass(c)
+        passes += 1
+        if not trace:
+            return passes
+
+
+def _reference_builds(eg) -> int:
+    """The matrices the merge must build: mergeref's passes, up to and
+    including the first whose odot folds all equalled the triangle rule's
+    (a pass that merges nothing is one). Such a pass kept its matrix exact,
+    so the pass after it could merge nothing."""
+    c, builds = initial_covering(eg), 0
+    while True:
+        m, builds, lossy = reference_char_matrix(c), builds + 1, False
+        for forced in (True, False):
+            while (pick := _pick_row(m, forced)) is not None:
+                c = merge_trees(c, *pick)
+                folded = _entrywise_fold(m, *pick)
+                lossy = lossy or _close_triangles(m, folded, *pick) != folded
+                m = folded
+        if not lossy:
+            return builds
+
+
+class TestLastPassSkip:
+    """algorithm1_merge builds no matrix after a pass whose folds left no
+    mergeability triangle below One; its trace stays mergeref's."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        of_trees = _MergeMatrix.of_trees.__func__
+
+        def counted(cls, trees):
+            calls.append(len(trees))
+            return of_trees(cls, trees)
+
+        monkeypatch.setattr(_MergeMatrix, "of_trees", classmethod(counted))
+        return calls
+
+    def test_builds_stop_after_the_first_exact_pass(self, builds):
+        inputs = [build_extended_graph(random_model(random.Random(seed))) for seed in range(400)]
+        for L in (50, 100):
+            eg = build_extended_graph(random_sparse_model(random.Random(L), L))
+            inputs += [eg, _reversed_extended(eg)]
+        seen = {"skipped": 0, "rebuilt": 0}
+        for eg in inputs:
+            if not eg.parameterized_edges:
+                continue
+            builds.clear()
+            assert _dump(algorithm1_merge(eg)) == _dump(reference_merge(eg))
+            want = _reference_builds(eg)
+            assert len(builds) == want
+            # mergeref ends on a pass that merges nothing, which the library
+            # skips unless the pass before it was lossy; a lossy pass makes
+            # the library build again.
+            seen["skipped"] += want < _reference_passes(eg)
+            seen["rebuilt"] += want > 1
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize(("seed", "want"), [(0, 1), (65, 2)])
+    def test_build_count(self, builds, seed, want):
+        # Seed 0's one pass folds no lossy triangle, so the empty pass
+        # mergeref runs after it is skipped. Seed 65's pass folds one, so
+        # its matrix is rebuilt, and that pass merges nothing.
+        eg = build_extended_graph(random_model(random.Random(seed)))
+        assert _dump(algorithm1_merge(eg)) == _dump(reference_merge(eg))
+        assert len(builds) == want
+        assert _reference_passes(eg) == 2
