@@ -8,8 +8,9 @@ thing a graph holds, and the one mutable thing, is its flow kernel,
 _SplitGraph, which max_vertex_disjoint_paths builds on first use and keeps
 with its caches; no result, comparison, hash or repr can observe it. A
 count walks its targets up a breadth-first forest cached from its source
-set, then finishes the max-flow by backward searches, each of which stops
-at the first node whose path up that forest is still free.
+set, then finishes the max-flow with one backward search from each target
+the walks left, which stops at the first node whose path up that forest is
+still free.
 Counting paths on one graph from two threads at once is not supported. All
 iteration is in ascending id order to keep downstream reports deterministic.
 """
@@ -41,9 +42,11 @@ class DiGraph:
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"vertex ids must be positive integers, got {v!r}")
         for tail, head in self.edges:
-            if isinstance(tail, bool) or isinstance(head, bool):
-                bad = tail if isinstance(tail, bool) else head
-                raise ValueError(f"vertex ids must be positive integers, got {bad!r}")
+            if not (type(tail) is int and type(head) is int):
+                # A float or bool equal to a vertex would pass the membership test.
+                for v in (tail, head):
+                    if isinstance(v, bool) or not isinstance(v, int):
+                        raise ValueError(f"vertex ids must be positive integers, got {v!r}")
             if tail == head:
                 raise ValueError(f"self-loop at vertex {tail} is not allowed")
             if tail not in self.vertices or head not in self.vertices:
@@ -171,37 +174,41 @@ class _SplitGraph:
         forest path from a takes it. A free root means a path disjoint from
         every path taken so far, because every vertex those paths use has
         a used root: two forest paths that share a node share the rest of
-        the way to the root, and a path taken by the second chance below is
-        a forest path plus a target whose own root is used.
+        the way to the root.
 
-        A target whose root is used gets that second chance (_detour) if
-        its own arc, t - 1, is still free: a free forest path into one of
-        its in-neighbours, extended by the edge into the target and the
-        target's own arc. The walks thus leave a feasible flow, and the
-        backward searches finish the max-flow from it, so every count is
-        exact. Each search hands back one augmenting path from a free root,
-        either reached by the search or joined through a free forest path
-        (see _search), and the loop below augments it from that root. The
-        walks also leave every target they did not serve with a used root
-        or none, which _search relies on. Which sources the paths start
-        from can depend on the walks, on where a search joins the forest
-        and on the memo, but it is always the start set of a maximum
-        family."""
+        The walks thus leave a feasible flow. Every target they did not
+        serve has a used root or none, which _search relies on, and gets
+        one backward search. A search hands back one augmenting path from a
+        free root, reached by the search or joined through a free forest
+        path, and the loop below augments it from that root. A search that
+        fails adds every node it discovered to dead. No free source reaches
+        them over residual arcs and no residual arc enters them, so no
+        augmenting path passes them, and augmenting elsewhere changes arcs
+        only outside them: they stay unreachable for the rest of the count.
+        So a target whose search failed never gets an augmenting path, and
+        once every target is used or has failed the flow is maximum and the
+        count exact. Later searches skip the dead nodes, so the failures of
+        one count cost O(V + E) together.
+        Which sources the paths start from can depend on the walks, on where
+        a search joins the forest and on the memo, but it is always the
+        start set of a maximum family."""
         memo = self.memo
         known = memo.get(targets)
         if known is not None and sources.issuperset(known):
             return known
-        order = self.order
+        order, index = self.order, self.index
         head, cap = self.head, self.cap
         forest = self._forest(sources)
-        free_tgt = {2 * self.index[v] + 1 for v in targets}
-        goal = min(len(sources), len(free_tgt))
+        goal = min(len(sources), len(targets))
         touched: list[int] = []
         starts: list[int] = []
+        left: list[int] = []
+        dead: set[int] = set()
         try:
-            for t in tuple(free_tgt):
+            for v in targets:
                 if len(starts) == goal:
                     break
+                t = 2 * index[v] + 1
                 path: list[int] = []
                 node, k = t, forest[t]
                 while k >= 0:
@@ -209,20 +216,19 @@ class _SplitGraph:
                     node = head[k ^ 1]
                     k = forest[node]
                 if k != -1 or not cap[node]:
-                    if not cap[t - 1] or (path := self._detour(forest, t)) is None:
-                        continue
-                    # A detour ends on its root's own arc, whose index is the root.
-                    node = path[-1]
-                free_tgt.remove(t)
+                    left.append(t)
+                    continue
                 for k in path:
                     cap[k] = 0
                     cap[k ^ 1] = 1
                 touched += path
                 starts.append(order[node >> 1])
-            while len(starts) < goal:
-                found = self._search(forest, free_tgt)
-                if found is None:
+            for t in left:
+                if len(starts) == goal:
                     break
+                found = self._search(forest, t, dead)
+                if found is None:
+                    continue
                 node, via = found
                 starts.append(order[node >> 1])
                 k = via[node]
@@ -232,7 +238,6 @@ class _SplitGraph:
                     touched.append(k)
                     node = head[k]
                     k = via[node]
-                free_tgt.remove(node)
         finally:
             for k in touched:
                 cap[k & ~1] = 1
@@ -243,76 +248,55 @@ class _SplitGraph:
             memo[targets] = starts
         return starts
 
-    def _detour(self, forest: list[int], t: int) -> list[int] | None:
-        """A free path to out-node t through an in-neighbour, as arcs from
-        t back to the path's root, or None. The real in-arcs p_out -> t_in
-        are tried in order, and the first whose tail's forest path has
-        every arc free, its root's own arc included, is taken with that
-        in-arc and t's own arc. Such a path is disjoint from every path
-        taken so far, provided t's own arc is free as well: each of its
-        vertices still has its own arc free, and no path passes through a
-        vertex without taking that vertex's arc."""
-        head, cap = self.head, self.cap
-        for k in self.arcs[t - 1]:
-            if k & 1:
-                path = [t - 1, k ^ 1]
-                a = forest[head[k]]
-                while a >= 0 and cap[a]:
-                    path.append(a)
-                    a = forest[head[a ^ 1]]
-                if a == -1:
-                    return path
-        return None
-
     def _search(
-        self, forest: list[int], free_tgt: set[int]
+        self, forest: list[int], t: int, dead: set[int]
     ) -> tuple[int, dict[int, int]] | None:
-        """Breadth-first search backward over residual arcs from every free
-        target, stopped at the first node it discovers whose forest path is
-        free: every arc from the node up to its root free, the root's own
-        arc included, so that root is a free source. A root itself has the
+        """Breadth-first search backward over residual arcs from out-node t,
+        a target the walks did not serve, skipping the nodes in dead and
+        stopped at the first node it discovers whose forest path is free:
+        every arc from the node up to its root free, the root's own arc
+        included, so that root is a free source. A root itself has the
         empty path and passes when reached, and it is free: a used source's
         in-node has no residual arc out, since its one real arc carries the
         path that starts there, so no search reaches it. Returns that root
-        with the arc by which each node steps toward a target (-1 at the
-        targets): the forest path's arcs from the root down to the node,
-        then the search's arcs on to a target, so count augments the joined
-        path from the root as it would a path the search found alone.
+        with the arc by which each node steps toward t (-1 at t): the
+        forest path's arcs from the root down to the node, then the
+        search's arcs on to t, so count augments the joined path from the
+        root as it would a path the search found alone. A search that finds
+        none adds every node it discovered to dead and returns None.
 
         The joined path is simple. Every node on the node's forest path
         has a prefix of that free path as its own, so it would pass; every
-        node discovered earlier was tested and failed, and the free targets
-        fail too, because count's walks leave each with a used root or
-        none, and a used root stays used. So none of them lies on the
-        forest path, and the search's arcs from the node run through them
-        alone.
+        node discovered earlier was tested and failed, and so does t,
+        because count's walk left it with a used root or none, and a used
+        root stays used. So none of them lies on the forest path, and the
+        search's arcs from the node run through them alone.
 
         A test walks up the forest until an arc is used or a node is
-        blocked. When it fails, every node it walked is blocked for the rest
-        of the search: each one's forest path runs through the failing
-        spot, and capacities do not change within a search. So no node is
+        blocked or dead. When it fails, every node it walked is blocked for
+        the rest of the search: each one's forest path runs through the
+        failing spot, and capacities do not change within a search. t's
+        in-node, t - 1, is blocked from the start, since it shares t's
+        root, and a dead node's forest path fails for good. So no node is
         walked past twice and a search stays O(V + E), where a walk per node
         alone would be quadratic on a long chain hanging below a used arc.
 
-        The search starts from the targets because they are the small side:
-        a path check's targets are one vertex's in-neighbourhood, while its
-        sources can be half the graph. It runs only after count's walks, so
-        it is left with the targets they would not serve: those the sources
-        do not reach, and those whose forest path, and every in-neighbour's,
-        crosses a path already taken. The forest joins pay most where the
+        The search starts from a target because that is the small side: a
+        path check's targets are one vertex's in-neighbourhood, while its
+        sources can be half the graph. The forest joins pay most where the
         sources are few, as in the measurement dual's counts."""
         head, arcs, cap = self.head, self.arcs, self.cap
-        via = dict.fromkeys(free_tgt, -1)
-        blocked: set[int] = set()
-        queue = list(free_tgt)
+        via = {t: -1}
+        blocked = {t - 1}
+        queue = [t]
         for b in queue:
             for k in arcs[b]:
                 a = head[k]
-                if cap[k ^ 1] and a not in via:
+                if cap[k ^ 1] and a not in via and a not in dead:
                     via[a] = k ^ 1
                     up: list[int] = []
                     node, j = a, forest[a]
-                    while j >= 0 and cap[j] and node not in blocked:
+                    while j >= 0 and cap[j] and node not in blocked and node not in dead:
                         up.append(j)
                         node = head[j ^ 1]
                         j = forest[node]
@@ -324,6 +308,7 @@ class _SplitGraph:
                         blocked.add(a)
                         blocked.update([head[j ^ 1] for j in up])
                     queue.append(a)
+        dead.update(via)
         return None
 
 

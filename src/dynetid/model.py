@@ -43,6 +43,14 @@ P = EntryStatus.PARAMETERIZED
 K = EntryStatus.KNOWN
 
 
+def _is_vertex(v: object, L: int) -> bool:
+    """Whether v names one of the vertices 1..L. A float or bool equal to
+    one does not: it would pass the range test and then build a graph. The
+    checks below test `type(v) is int` first, which plain ids pass, and
+    call this only for a value that fails it."""
+    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= L
+
+
 @dataclass(frozen=True)
 class ModelSet:
     """Parameterization pattern of a network model set.
@@ -68,26 +76,29 @@ class ModelSet:
     feedthrough_edges: frozenset[Edge] | None = None
 
     def __post_init__(self) -> None:
-        if self.L < 1:
+        L = self.L
+        if L < 1:
             raise ValueError("a model needs at least one vertex")
         for (tail, head), status in self.modules.items():
-            if not (1 <= tail <= self.L and 1 <= head <= self.L):
-                raise ValueError(f"edge ({tail}, {head}) outside 1..{self.L}")
+            if not (type(tail) is int and type(head) is int and 0 < tail <= L and 0 < head <= L):
+                if not (_is_vertex(tail, L) and _is_vertex(head, L)):
+                    raise ValueError(f"edge ({tail}, {head}) outside 1..{L}")
             if status is Z:
                 raise ValueError(f"module ({tail}, {head}) is listed with a zero status")
         for column in self.noise:
             for row, status in column.items():
-                if not 1 <= row <= self.L:
-                    raise ValueError(f"noise row {row} outside 1..{self.L}")
+                if not (type(row) is int and 0 < row <= L or _is_vertex(row, L)):
+                    raise ValueError(f"noise row {row} outside 1..{L}")
                 if status is Z:
                     raise ValueError(f"noise row {row} is listed with a zero status")
         for v in self.excited:
-            if not 1 <= v <= self.L:
-                raise ValueError(f"excited vertex {v} outside 1..{self.L}")
+            if not (type(v) is int and 0 < v <= L or _is_vertex(v, L)):
+                raise ValueError(f"excited vertex {v} outside 1..{L}")
         if self.feedthrough_edges is not None:
             for t, h in self.feedthrough_edges:
-                if not (1 <= t <= self.L and 1 <= h <= self.L):
-                    raise ValueError(f"feedthrough edge ({t}, {h}) outside 1..{self.L}")
+                if not (type(t) is int and type(h) is int and 0 < t <= L and 0 < h <= L):
+                    if not (_is_vertex(t, L) and _is_vertex(h, L)):
+                        raise ValueError(f"feedthrough edge ({t}, {h}) outside 1..{L}")
 
     @property
     def p(self) -> int:

@@ -67,6 +67,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="got True"):
             DiGraph.of([1, 2, 3], [(True, 2), (2, 3)])
 
+    def test_edge_endpoints_must_be_ints(self):
+        # 1.0 == 1 and hashes alike, so it would pass the membership test.
+        with pytest.raises(ValueError, match="got 1.0"):
+            DiGraph.of([1, 2, 3], [(1.0, 2)])
+        with pytest.raises(ValueError, match="got 3.0"):
+            DiGraph.of([1, 2, 3], [(2, 3.0)])
+
     def test_value_semantics(self):
         assert diamond() == diamond()
         assert chain() != diamond()
@@ -544,30 +551,77 @@ def _relabelled(edges, sources, targets):
         yield g, frozenset(at[v] for v in sources), frozenset(at[v] for v in targets)
 
 
+def _root_only_visits(kernel: _SplitGraph, forest: list[int], t: int, dead: set[int]) -> int:
+    """The nodes a backward search from out-node t discovers, t included,
+    when only a root can end it: the search as it ran before it joined the
+    forest, skipping the same dead nodes."""
+    head, arcs, cap = kernel.head, kernel.arcs, kernel.cap
+    seen = {t}
+    queue = [t]
+    for b in queue:
+        for k in arcs[b]:
+            a = head[k]
+            if cap[k ^ 1] and a not in seen and a not in dead:
+                seen.add(a)
+                if forest[a] == -1:
+                    return len(seen)
+                queue.append(a)
+    return len(seen)
+
+
+class _Reads(list):
+    """A list that counts how often an item is read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(whether it found a path, nodes it discovered, nodes a root-only
+    search discovers) for every search, both on the same residual state.
+    A search that finds a path counts its via map, forest path included.
+    One that fails has expanded every node it discovered, each by one read
+    of the kernel's arcs, so it counts those reads."""
+    calls = []
+    search = _SplitGraph._search
+
+    def measured(self, forest, t, dead):
+        root_only = _root_only_visits(self, forest, t, dead)
+        arcs = self.arcs
+        self.arcs = reads = _Reads(arcs)
+        try:
+            found = search(self, forest, t, dead)
+        finally:
+            self.arcs = arcs
+        discovered = reads.reads if found is None else len(found[1])
+        calls.append((found is not None, discovered, root_only))
+        return found
+
+    monkeypatch.setattr(_SplitGraph, "_search", measured)
+    return calls
+
+
 class TestSecondChance:
-    """A target whose forest path ends at a used root is served through an
-    in-neighbour's forest path when that path and the target are free."""
-
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        calls = []
-        search = _SplitGraph._search
-
-        def counted(self, forest, free_tgt):
-            calls.append(len(free_tgt))
-            return search(self, forest, free_tgt)
-
-        monkeypatch.setattr(_SplitGraph, "_search", counted)
-        return calls
+    """A target whose forest path ends at a used root is served by its own
+    search, which joins an in-neighbour's forest path when that path and
+    the target are free."""
 
     def test_taken_through_a_free_in_neighbour(self, searches):
         # Whichever source the forest reaches x and y from, the first target
-        # walked takes it and the second comes through the other source,
-        # with no search.
+        # walked takes it and the second comes through the other source, by
+        # one search that discovers at most the target's two nodes, the
+        # used source's out-node and the free source's two nodes.
         edges = [("s", "x"), ("s", "y"), ("r", "x"), ("r", "y")]
         for g, sources, targets in _relabelled(edges, {"s", "r"}, {"x", "y"}):
+            searches.clear()
             assert _assert_witness(g, sources, targets) == sources
-        assert searches == []
+            assert len(searches) == 1
+            found, discovered, _ = searches[0]
+            assert found and discovered <= 5
 
     def test_refused_where_the_in_neighbours_path_is_used(self):
         # Both paths would pass m. Once one target's path takes it, the
@@ -617,42 +671,9 @@ class TestSecondChance:
                 _assert_witness(g, sources, g.in_neighbors(v))
 
 
-def _root_only_visits(kernel: _SplitGraph, forest: list[int], free_tgt: set[int]) -> int:
-    """The nodes a backward search marks, targets included, when only a root
-    can end it: the search as it ran before it joined the forest."""
-    head, arcs, cap = kernel.head, kernel.arcs, kernel.cap
-    seen = set(free_tgt)
-    queue = list(free_tgt)
-    for b in queue:
-        for k in arcs[b]:
-            a = head[k]
-            if cap[k ^ 1] and a not in seen:
-                seen.add(a)
-                if forest[a] == -1:
-                    return len(seen)
-                queue.append(a)
-    return len(seen)
-
-
 class TestForestJoin:
     """A backward search stops at the first node whose forest path is free
     and augments through that path from its root."""
-
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        # (nodes the search marked, forest path included; nodes a root-only
-        # search marks) for every search, both on the same residual state.
-        calls = []
-        search = _SplitGraph._search
-
-        def measured(self, forest, free_tgt):
-            root_only = _root_only_visits(self, forest, free_tgt)
-            found = search(self, forest, free_tgt)
-            calls.append((None if found is None else len(found[1]), root_only))
-            return found
-
-        monkeypatch.setattr(_SplitGraph, "_search", measured)
-        return calls
 
     def test_search_ends_on_a_free_forest_path(self, searches):
         # x hangs off s, one level up, and off r through y, two levels up,
@@ -660,29 +681,77 @@ class TestForestJoin:
         # s, and z, whose only in-neighbour is s, is left to a search. That
         # search steps back over s -> x to x, whose in-neighbour y has the
         # free forest path r -> y. A root-only search goes on to r and also
-        # marks the dead branch w -> y, which nothing reaches.
+        # discovers the dead branch w -> y, which nothing reaches.
         edges = [("s", "x"), ("s", "z"), ("r", "y"), ("y", "x"), ("w", "y")]
         for g, sources, targets in _relabelled(edges, {"s", "r"}, {"x", "z"}):
             assert _assert_witness(g, sources, targets) == sources
         assert searches
-        assert all(marked is not None and marked < root_only for marked, root_only in searches)
+        assert all(found and discovered < root_only for found, discovered, root_only in searches)
 
     def test_comb_is_counted_in_linear_time(self, searches):
-        # Source 1 reaches hub 3, the hub's head 4 and a chain 7 -> ... -> n
-        # hanging below the hub, so 4's walk takes the hub first. The chain
-        # end's search then discovers the whole chain, each node with a
-        # forest path up through the used hub, before it steps back over
-        # 3 -> 4 and joins 2 -> 5 -> 6 -> 4. Were each node walked to the hub
-        # afresh, the search would be quadratic: over a minute here, against
-        # a tenth of a second for the search with its blocked marks.
+        # Source 1 reaches hub 3, the hub's head h and a chain 7 -> ... -> e
+        # hanging below the hub, and both targets' forest paths take the
+        # hub. Where h is walked first it takes the hub, and e's search then
+        # discovers the whole chain, each node with a forest path up through
+        # the used hub, before it steps back over 3 -> h and joins
+        # 2 -> 5 -> 6 -> h. Were each node walked to the hub afresh, the
+        # search would be quadratic: over a minute here, against a tenth of
+        # a second for the search with its blocked marks. The targets are
+        # the ids 4 and n under both labellings, so one run walks h first
+        # whichever of the two ids the walks take first.
         n = 20_000
         edges = [(1, 3), (3, 4), (2, 5), (5, 6), (6, 4), (3, 7)]
         edges += [(v, v + 1) for v in range(7, n)]
-        g = DiGraph.of(range(1, n + 1), edges)
+        for h, e in ((4, n), (n, 4)):
+            at = {4: h, n: e}
+            g = DiGraph.of(range(1, n + 1), [(at.get(a, a), at.get(b, b)) for a, b in edges])
+            start = time.perf_counter()
+            assert max_vertex_disjoint_paths(g, {1, 2}, {h, e}) == 2
+            assert time.perf_counter() - start < 2
+        assert len(searches) == 2 and all(found for found, _, _ in searches)
+        assert max(discovered for _, discovered, _ in searches) >= 2 * (n - 7)
+
+
+class TestDeadNodes:
+    """A search that fails leaves its nodes dead for the rest of the count,
+    and later searches skip them."""
+
+    def test_unreached_chain_is_searched_once(self, searches):
+        # A chain 1 -> ... -> n that no source reaches feeds k targets. The
+        # first target's search discovers the chain and fails; each later
+        # one discovers only its target's two nodes before the dead chain.
+        # Searching the chain again for each target would discover about
+        # 2nk nodes and take seconds.
+        n, k = 20_000, 200
+        targets = range(n + 1, n + k + 1)
+        source = n + k + 1
+        edges = [(v, v + 1) for v in range(1, n)] + [(n, t) for t in targets]
+        g = DiGraph.of(range(1, source + 1), edges)
+        assert max_vertex_disjoint_paths(g, {source}, targets) == 0
+        assert len(searches) == k and not any(found for found, _, _ in searches)
+        assert sum(discovered for _, discovered, _ in searches) <= 2 * (n + k)
+
+    def test_walks_stop_at_dead_nodes(self):
+        # Source r reaches every target through q and a chain
+        # r -> c_1 -> ... -> c_n, below which hangs one in-neighbour per
+        # target; z, a second source that reaches nothing, keeps the count
+        # going. The first target walked takes r, so every search fails.
+        # The first one discovers the chain; each later one tests its own
+        # target's in-neighbour, whose walk up the forest stops at the dead
+        # c_n. Were the chain walked again in each search, the count would
+        # take about 5 s here, against a tenth of a second.
+        n, k = 20_000, 1_000
+        r, q, z = 1, 2, 3
+        chain = range(4, n + 4)
+        hang = range(n + 4, n + 4 + k)
+        targets = range(n + 4 + k, n + 4 + 2 * k)
+        edges = [(r, q), (r, chain[0])] + [(v, v + 1) for v in chain[:-1]]
+        edges += [(chain[-1], a) for a in hang] + [(a, a + k) for a in hang]
+        edges += [(q, t) for t in targets]
+        g = DiGraph.of(range(1, n + 4 + 2 * k), edges)
         start = time.perf_counter()
-        assert max_vertex_disjoint_paths(g, {1, 2}, {4, n}) == 2
+        assert max_vertex_disjoint_paths(g, {r, z}, targets) == 1
         assert time.perf_counter() - start < 2
-        assert len(searches) == 1 and searches[0][0] >= 2 * (n - 7)
 
 
 SEEDS = st.integers(min_value=0, max_value=10**9)

@@ -64,6 +64,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="noise row 3 outside"):
             ModelSet(2, {}, ({3: K},), frozenset())
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"edges": [(1.0, 2)]}, r"edge \(1\.0, 2\) outside 1\.\.3"),
+            ({"edges": [(1, True)]}, r"edge \(1, True\) outside 1\.\.3"),
+            ({"excited": [True, 2.0]}, r"excited vertex (True|2\.0) outside 1\.\.3"),
+            ({"noise_columns": [[(2.0, P)]]}, r"noise row 2\.0 outside 1\.\.3"),
+            (
+                {"strictly_proper_modules": False, "feedthrough_edges": [(1, 2.0)]},
+                r"feedthrough edge \(1, 2\.0\) outside 1\.\.3",
+            ),
+        ],
+    )
+    def test_ids_must_be_ints(self, kwargs, message):
+        # A float or bool equal to a vertex passes the range test, and the
+        # model would serialize to a file that parse_model rejects.
+        kwargs.setdefault("edges", [(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=message):
+            ModelSet.from_edges(3, **kwargs)
+
     def test_zero_entries_are_not_stored(self):
         m = ModelSet.from_edges(
             3, [(1, 2), (2, 3, K), (1, 2, Z)], noise_columns=[[(1, P), (2, Z)]]

@@ -362,6 +362,25 @@ class TestSerialization:
         )
         assert parse_model(serialize_model(m)) == m
 
+    def test_round_trip_int_subclass_ids(self):
+        # The model admits any int id but a bool; json writes an int
+        # subclass as its int, which parse_model reads back.
+        class Id(int):
+            pass
+
+        one, two, three = Id(1), Id(2), Id(3)
+        m = ModelSet.from_edges(
+            3,
+            [(one, two), (two, three, K)],
+            noise_columns=[[(three, P)]],
+            excited=[one, two],
+            strictly_proper_modules=False,
+            feedthrough_edges=[(one, two)],
+        )
+        text = serialize_model(m)
+        assert parse_model(text) == m
+        assert serialize_model(parse_model(text)) == text
+
     def test_noise_omitted_when_absent(self):
         doc = model_to_json(ModelSet.from_edges(2, [(1, 2)]))
         assert "noise" not in doc
