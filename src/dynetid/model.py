@@ -77,6 +77,10 @@ class ModelSet:
 
     def __post_init__(self) -> None:
         L = self.L
+        if type(L) is not int and (isinstance(L, bool) or not isinstance(L, int)):
+            # True or 2.0 would pass the range tests below, and the model
+            # would serialize to a file that parse_model rejects.
+            raise ValueError(f"L must be an integer, got {L!r}")
         if L < 1:
             raise ValueError("a model needs at least one vertex")
         for (tail, head), status in self.modules.items():

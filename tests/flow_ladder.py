@@ -1,6 +1,6 @@
 """The hand ladder: check, allocate and select_measurements times at each L.
 
-    python3 tests/flow_ladder.py [--src DIR] [--shape {sparse,hub,fan}] [L ...]
+    python3 tests/flow_ladder.py [--src DIR] [--shape {sparse,hub,fan}] [--repeat N] [L ...]
 
 For each L (default 400 1600) it builds one noise-free, all-parameterized
 model of the chosen shape:
@@ -11,15 +11,17 @@ model of the chosen shape:
   2 -> 3 -> ... -> L -> 1 runs through the rest, so |E| = 2L - 3;
 - fan: vertex 1 feeds every other vertex, plus the same chain.
 
-It times one run of each of three commands on the model:
-check_generic_identifiability, allocate and select_measurements (the
-measurement dual). Each run gets a freshly built extended graph, so no
-command starts from another's flow kernel. The last two columns are the
-excited and measured vertex counts, which no speed change may move.
+It times three commands on the model: check_generic_identifiability,
+allocate and select_measurements (the measurement dual), each N times
+(--repeat, default 1), and prints each command's fastest run. Each run gets
+a freshly built extended graph, so no run starts from another's flow kernel.
+The last two columns are the excited and measured vertex counts, which no
+speed change may move.
 
-One run per row on a shared host drifts a lot; compare a change against its
-parent (--src picks the dynetid sources) over several runs, in alternating
-order. Standard library only; pytest does not collect it.
+One run per row on a shared host drifts by up to 2x; take the minimum over
+a few runs, and compare a change against its parent (--src picks the
+dynetid sources) over several invocations, in alternating order. Standard
+library only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--shape", choices=("sparse", "hub", "fan"), default="sparse")
+    ap.add_argument("--repeat", type=int, default=1, metavar="N")
     ap.add_argument("L", type=int, nargs="*", default=[400, 1600])
     args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
     sys.path[:0] = [str(args.src), str(ROOT / "tests")]
     from randgen import random_sparse_model
 
@@ -61,10 +66,14 @@ def main() -> None:
             m = ModelSet.from_edges(L, sorted(shape_edges(args.shape, L)))
         times, results = [], []
         for command in (check_generic_identifiability, allocate, select_measurements):
-            eg = build_extended_graph(m)
-            start = time.perf_counter()
-            results.append(command(eg))
-            times.append(time.perf_counter() - start)
+            runs = []
+            for _ in range(args.repeat):
+                eg = build_extended_graph(m)
+                start = time.perf_counter()
+                result = command(eg)
+                runs.append(time.perf_counter() - start)
+            results.append(result)
+            times.append(min(runs))
         excited, measured = (len(r.excited) for r in results[1:])
         print(f"{L:>6}{times[0]:>10.3f}{times[1]:>12.3f}{times[2]:>10.3f}{excited:>9}{measured:>10}")
 

@@ -336,6 +336,7 @@ class TestFlowKernelAgainstReference:
             starts, hit = _counted(g, sources, targets)
             assert len(starts) == want, kind
             assert max_vertex_disjoint_paths(g, sources, targets) == want, kind
+            assert g._kernel is None or g._kernel.cap == [1, 0] * (len(g._kernel.head) // 2)
             hits += hit
         assert hits >= MIN_HITS, hits
 
@@ -394,16 +395,24 @@ def _prune_runs(rng: random.Random, g: DiGraph):
 
 def _assert_forest_of(g: DiGraph, sources: frozenset[int]) -> None:
     """The kernel's cached forest is a forest of the real arcs rooted at
-    exactly these sources' in-nodes and spanning what they reach."""
+    exactly these sources' in-nodes and spanning what they reach, and its
+    root array names the root each reached node's forest path ends at, -2
+    elsewhere."""
     kernel = g._kernel
     assert kernel.forest_src == sources
     reached = {2 * kernel.index[v] + side for v in _reach(g, sources) for side in (0, 1)}
-    forest = kernel.forest
+    forest, head = kernel.forest, kernel.head
     assert {b for b, k in enumerate(forest) if k != -2} == reached
     assert {b for b, k in enumerate(forest) if k == -1} == {2 * kernel.index[v] for v in sources}
+    ends = {b: b for b, k in enumerate(forest) if k == -1}
     for b, k in enumerate(forest):
         if k >= 0:
-            assert not k & 1 and kernel.head[k] == b and forest[kernel.head[k ^ 1]] != -2
+            assert not k & 1 and head[k] == b and forest[head[k ^ 1]] != -2
+            path = [b]
+            while path[-1] not in ends:
+                path.append(head[forest[path[-1]] ^ 1])
+            ends.update(dict.fromkeys(path, ends[path[-1]]))
+    assert kernel.root == [ends.get(b, -2) for b in range(len(forest))]
 
 
 class TestSourceForest:
@@ -710,6 +719,36 @@ class TestForestJoin:
             assert time.perf_counter() - start < 2
         assert len(searches) == 2 and all(found for found, _, _ in searches)
         assert max(discovered for _, discovered, _ in searches) >= 2 * (n - 7)
+
+
+class TestRootWalks:
+    """Each target is tested at its forest root in O(1); a taken path is
+    walked once, to write it, and only when a search follows."""
+
+    def test_deep_targets_are_refused_at_a_taken_root(self):
+        # Source r feeds target q directly and a chain c_1 -> ... -> c_n,
+        # below which hang k targets; z, a second source that reaches
+        # nothing, keeps the goal open. Every target's root is r, so the
+        # first target walked takes it and each later one is refused at its
+        # root. The count reads the forest only to write the taken path, at
+        # most once per arc. Were each target walked up the chain before its
+        # root is tested, it would read the forest about 2nk times, 8
+        # million here.
+        n, k = 20_000, 201
+        r, q, z = 1, 2, 3
+        chain = range(4, n + 4)
+        targets = [q, *range(n + 4, n + 4 + k)]
+        edges = [(r, q), (r, chain[0])] + [(v, v + 1) for v in chain[:-1]]
+        edges += [(chain[-1], t) for t in targets[1:]]
+        g = DiGraph.of(range(1, n + 4 + k), edges)
+        sources = frozenset({r, z})
+        assert max_vertex_disjoint_paths(g, sources, {q}) == 1
+        kernel = g._kernel
+        kernel.forest = reads = _Reads(kernel.forest)
+        start = time.perf_counter()
+        assert max_vertex_disjoint_paths(g, sources, targets) == 1
+        assert time.perf_counter() - start < 2
+        assert reads.reads <= len(kernel.head)
 
 
 class TestDeadNodes:
