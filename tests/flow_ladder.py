@@ -1,6 +1,6 @@
 """The hand ladder: check, allocate and select_measurements times at each L.
 
-    python3 tests/flow_ladder.py [--src DIR] [--shape {sparse,hub,fan}] [--repeat N] [L ...]
+    python3 tests/flow_ladder.py [--src DIR] [--shape {sparse,hub,fan}] [L ...]
 
 For each L (default 400 1600) it builds one noise-free, all-parameterized
 model of the chosen shape:
@@ -12,16 +12,16 @@ model of the chosen shape:
 - fan: vertex 1 feeds every other vertex, plus the same chain.
 
 It times three commands on the model: check_generic_identifiability,
-allocate and select_measurements (the measurement dual), each N times
-(--repeat, default 1), and prints each command's fastest run. Each run gets
-a freshly built extended graph, so no run starts from another's flow kernel.
-The last two columns are the excited and measured vertex counts, which no
-speed change may move.
+allocate and select_measurements (the measurement dual), RUNS times each,
+and prints each command's fastest run. Each run gets a freshly built
+extended graph, so no run starts from another's flow kernel. The last two
+columns are the excited and measured vertex counts, which no speed change
+may move.
 
-One run per row on a shared host drifts by up to 2x; take the minimum over
-a few runs, and compare a change against its parent (--src picks the
-dynetid sources) over several invocations, in alternating order. Standard
-library only; pytest does not collect it.
+A single run on a shared host drifts by up to 2x, which the minimum damps;
+still compare a change against its parent (--src picks the dynetid
+sources) over several invocations, in alternating order. Standard library
+only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 3
 
 
 def shape_edges(shape: str, L: int) -> set[tuple[int, int]]:
@@ -47,11 +48,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--shape", choices=("sparse", "hub", "fan"), default="sparse")
-    ap.add_argument("--repeat", type=int, default=1, metavar="N")
     ap.add_argument("L", type=int, nargs="*", default=[400, 1600])
     args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
     sys.path[:0] = [str(args.src), str(ROOT / "tests")]
     from randgen import random_sparse_model
 
@@ -67,7 +65,7 @@ def main() -> None:
         times, results = [], []
         for command in (check_generic_identifiability, allocate, select_measurements):
             runs = []
-            for _ in range(args.repeat):
+            for _ in range(RUNS):
                 eg = build_extended_graph(m)
                 start = time.perf_counter()
                 result = command(eg)

@@ -22,7 +22,6 @@ from dynetid.model import (
     extended_in_neighbors,
     validate,
 )
-from dynetid.modelfile import parse_model, serialize_model
 
 from .randgen import _random_noise_columns, _random_pattern, random_model
 
@@ -91,10 +90,6 @@ class TestConstruction:
         # to "L": true or "L": 2.0, which parse_model rejects.
         with pytest.raises(ValueError, match=f"L must be an integer, got {L!r}"):
             ModelSet.from_edges(L, edges)
-
-    def test_serialized_model_parses_back(self):
-        for m in (correlated_noise_model(), ModelSet.from_edges(1)):
-            assert parse_model(serialize_model(m)) == m
 
     def test_zero_entries_are_not_stored(self):
         m = ModelSet.from_edges(

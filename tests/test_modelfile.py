@@ -349,8 +349,9 @@ class TestAgainstReferenceAtScale:
 
 class TestSerialization:
     def test_round_trip_fixture(self):
-        m = correlated_noise_model()
-        assert parse_model(serialize_model(m)) == m
+        # The one-vertex model has no module, noise row or excitation.
+        for m in (correlated_noise_model(), ModelSet.from_edges(1)):
+            assert parse_model(serialize_model(m)) == m
 
     def test_round_trip_known_and_feedthrough(self):
         m = ModelSet.from_edges(
